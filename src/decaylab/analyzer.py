@@ -34,8 +34,9 @@ by default three times the 95% Kolmogorov fluctuation scale 1.36/sqrt(n0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,8 @@ from .montecarlo import (
     UNKNOWN_CODE,
     UNKNOWN_PAIR,
     EventStream,
+    _positive_n0,
+    _sorted,
 )
 from .rates import RateSet, Species
 
@@ -102,9 +105,7 @@ class ClassifiedCounts:
         if np.any(np.diff(grid) <= 0.0):
             raise DomainError("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
-        if not isinstance(self.n0, (int, np.integer)) or self.n0 < 1:
-            raise DomainError("n0 must be a positive integer")
-        object.__setattr__(self, "n0", int(self.n0))
+        object.__setattr__(self, "n0", _positive_n0(self.n0))
         for name in ("n1_or", "n1_pa", "n2_or", "n2_pa"):
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             if arr.shape != grid.shape:
@@ -131,9 +132,7 @@ def classify(events: EventStream, grid, n0: int) -> ClassifiedCounts:
     """
     if not events.has_identities:
         raise UnclassifiableError("stream has erased pair identities")
-    if not isinstance(n0, (int, np.integer)) or n0 < 1:
-        raise DomainError("n0 must be a positive integer")
-    n0 = int(n0)
+    n0 = _positive_n0(n0)
     grid = np.asarray(grid, dtype=float)
     pid = events.pair_id
     if pid.size and (pid.min() < 0 or pid.max() >= n0):
@@ -167,7 +166,7 @@ def classify(events: EventStream, grid, n0: int) -> ClassifiedCounts:
     is_or = events.species == OR_CODE
 
     def cumulative(mask: np.ndarray) -> np.ndarray:
-        return np.searchsorted(np.sort(events.time[mask]), grid, side="right").astype(
+        return np.searchsorted(_sorted(events.time[mask]), grid, side="right").astype(
             np.int64
         )
 
@@ -249,8 +248,9 @@ def estimate_rates(
     """Estimate the disentangling and free rates from one stream."""
     if not events.has_identities:
         raise UnclassifiableError("rate estimation needs pair identities")
-    if not isinstance(n0, (int, np.integer)) or n0 < 1:
-        raise DomainError("n0 must be a positive integer")
+    n0 = _positive_n0(n0)
+    if events.pair_id.size and events.pair_id.max() >= n0:
+        raise DataError("pair ids must lie in [0, n0)")
     first = events.order == FIRST_CODE
     n_pairs = int(np.count_nonzero(first))
     if n_pairs < min_pairs:
@@ -262,7 +262,7 @@ def estimate_rates(
     if total <= 0.0:
         raise DataError("first-emission times sum to zero")
     gamma_t_est = n_pairs / total
-    t1_by_pair = np.full(int(n0), np.nan)
+    t1_by_pair = np.full(n0, np.nan)
     t1_by_pair[events.pair_id[first]] = first_times
 
     def species_fit(code: int) -> tuple[float, float, int]:
@@ -303,15 +303,28 @@ class DetectionVerdict:
 
     statistic is the best (smallest) hypothesis score; distances holds the
     per-hypothesis scores and their shape/mass components; fitted_rates
-    carries rate estimates when the source allowed them.
+    carries rate estimates when the source allowed them.  The verdict does
+    not depend on them, so the fit is computed when fitted_rates is first
+    read and then kept; the verdict holds a reference to the stream for it.
+    A DataError from an inconsistent stream surfaces on that read.
     """
 
     verdict: Verdict
     statistic: float
     threshold: float
     distances: dict[str, float]
-    fitted_rates: RateEstimates | None = None
     reason: str = ""
+    # (stream, n0, min_pairs) for estimate_rates; None when no fit applies
+    fit_args: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def fitted_rates(self) -> RateEstimates | None:
+        if self.fit_args is None:
+            return None
+        try:
+            return estimate_rates(*self.fit_args)
+        except (UnclassifiableError, InsufficientDataError):
+            return None
 
 
 def default_threshold(n0: float) -> float:
@@ -344,7 +357,7 @@ def _species_photons(source, h: Species):
     """(kind, payload) where payload is sorted times or (grid, counts)."""
     if isinstance(source, EventStream):
         code = SPECIES_CODE[h]
-        return "stream", np.sort(source.time[source.species == code])
+        return "stream", _sorted(source.time[source.species == code])
     if isinstance(source, ClassifiedCounts):
         return "grid", (source.grid, source.photons(h))
     if isinstance(source, PopulationCurve):
@@ -373,10 +386,9 @@ def product_model_distance(source, n0: float, h: Species, gamma: float) -> float
 
 
 def _companion_mass(source, h: Species, n0: float) -> float:
-    kind, payload = _species_photons(source, h)
-    if kind == "stream":
-        return payload.size / n0
-    _, photons = payload
+    if isinstance(source, EventStream):
+        return int(np.count_nonzero(source.species == SPECIES_CODE[h])) / n0
+    _, (_, photons) = _species_photons(source, h)
     return float(np.max(photons)) / n0 if len(photons) else 0.0
 
 
@@ -411,12 +423,7 @@ def detect(
         distances[f"product_{h.value}"] = max(shape, mass)
     statistic = min(distances["product_or"], distances["product_pa"])
 
-    fitted = None
-    if isinstance(source, EventStream) and source.has_identities:
-        try:
-            fitted = estimate_rates(source, int(n0), min_pairs)
-        except (UnclassifiableError, InsufficientDataError):
-            fitted = None
+    fit_args = (source, int(n0), min_pairs) if isinstance(source, EventStream) else None
 
     if n0 < min_pairs:
         return DetectionVerdict(
@@ -424,7 +431,7 @@ def detect(
             statistic=statistic,
             threshold=threshold,
             distances=distances,
-            fitted_rates=fitted,
+            fit_args=fit_args,
             reason=f"sample size {n0:g} below minimum {min_pairs}",
         )
     if statistic > 1.2 * threshold:
@@ -441,6 +448,6 @@ def detect(
         statistic=statistic,
         threshold=threshold,
         distances=distances,
-        fitted_rates=fitted,
+        fit_args=fit_args,
         reason=reason,
     )

@@ -149,6 +149,8 @@ class EventStream:
             raise DataError("unknown side code")
         if self.order.size and self.order.max() > UNKNOWN_CODE:
             raise DataError("unknown order code")
+        if self.pair_id.size and self.pair_id.min() < UNKNOWN_PAIR:
+            raise DataError(f"pair ids must be >= 0, or {UNKNOWN_PAIR} when erased")
 
     def __len__(self) -> int:
         return self.time.size
@@ -174,14 +176,55 @@ class EventStream:
         )
 
     def sorted_by_time(self) -> "EventStream":
-        idx = np.lexsort((self.order, self.pair_id, self.time))
+        idx, time = _time_order(self.time, self.pair_id, self.order)
         return EventStream(
-            self.pair_id[idx],
-            self.time[idx],
-            self.species[idx],
-            self.side[idx],
-            self.order[idx],
+            self.pair_id[idx], time, self.species[idx], self.side[idx], self.order[idx]
         )
+
+
+def _time_order(
+    time: np.ndarray, pair_id: np.ndarray, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation np.lexsort((order, pair_id, time)), and time under it.
+
+    Times must be non-negative, as EventStream and simulate guarantee: their
+    bit patterns then order like the values, so one value sort of 64-bit
+    keys holding the high bits of the time and the row index in the low bits
+    places every row (several times faster than an argsort).  Only runs of
+    rows whose keys agree in the time bits, exact ties among them, are then
+    re-sorted by (time, pair, order); the key sort leaves each run in row
+    order, which lexsort's stability keeps for rows equal in all three keys.
+    """
+    bits = max(time.size - 1, 1).bit_length()
+    row_mask = np.uint64((1 << bits) - 1)
+    key = (time + 0.0).view(np.uint64)  # + 0.0 turns -0.0 into 0.0
+    key &= ~row_mask
+    key |= np.arange(time.size, dtype=np.uint64)
+    key.sort()
+    idx = (key & row_mask).view(np.int64)
+    key >>= np.uint64(bits)
+    tie = key[1:] == key[:-1]
+    if tie.any():
+        in_run = np.zeros(time.size, dtype=bool)
+        in_run[1:] = tie
+        in_run[:-1] |= tie
+        pos = np.flatnonzero(in_run)
+        rows = idx[pos]
+        idx[pos] = rows[np.lexsort((order[rows], pair_id[rows], time[rows]))]
+    return idx, time[idx]
+
+
+def _sorted(t: np.ndarray) -> np.ndarray:
+    """t itself when already non-decreasing, else a sorted copy."""
+    if np.all(t[1:] >= t[:-1]):
+        return t
+    return np.sort(t)
+
+
+def _positive_n0(n0) -> int:
+    if not isinstance(n0, (int, np.integer)) or n0 < 1:
+        raise DomainError("n0 must be a positive integer")
+    return int(n0)
 
 
 def _default_t_max(rates: RateSet) -> float:
@@ -385,16 +428,16 @@ def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
         side_col = np.where(first_left, L_CODE, R_CODE).astype(np.uint8)
         order_col = np.full(n0, FIRST_CODE, dtype=np.uint8)
 
-    idx = np.lexsort((order_col, pair_col, time_col))
+    idx, time_col = _time_order(time_col, pair_col, order_col)
     stream = EventStream(
-        pair_col[idx], time_col[idx], species_col[idx], side_col[idx], order_col[idx]
+        pair_col[idx], time_col, species_col[idx], side_col[idx], order_col[idx]
     )
     curve = histogram(stream, scenario.grid(), n0, mode=scenario.mode)
     return stream, curve
 
 
-def _counts_at(sorted_times: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    return np.searchsorted(sorted_times, grid, side="right")
+def _counts_at(times: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    return np.searchsorted(_sorted(times), grid, side="right")
 
 
 def histogram(
@@ -412,9 +455,7 @@ def histogram(
     integers and conservation holds identically.
     """
     grid = np.asarray(grid, dtype=float)
-    if not isinstance(n0, (int, np.integer)) or n0 < 1:
-        raise DomainError("n0 must be a positive integer")
-    n0 = int(n0)
+    n0 = _positive_n0(n0)
     if mode not in (ENTANGLED, PRODUCT):
         raise DomainError(f"mode must be {ENTANGLED!r} or {PRODUCT!r}")
     if mode == ENTANGLED:
@@ -423,18 +464,14 @@ def histogram(
             raise DataError("entangled histogram needs first/second order tags")
         first = events.order == FIRST_CODE
         is_or = events.species == OR_CODE
-        ft = np.sort(events.time[first])
-        if ft.size > n0:
-            raise DataError(f"{ft.size} first emissions from only {n0} pairs")
-        ft_or = np.sort(events.time[first & is_or])
-        ft_pa = np.sort(events.time[first & ~is_or])
-        st_or = np.sort(events.time[~first & is_or])
-        st_pa = np.sort(events.time[~first & ~is_or])
-        c_ft_or = _counts_at(ft_or, grid)
-        c_ft_pa = _counts_at(ft_pa, grid)
-        c_st_or = _counts_at(st_or, grid)
-        c_st_pa = _counts_at(st_pa, grid)
-        n = n0 - _counts_at(ft, grid)
+        n_first = int(np.count_nonzero(first))
+        if n_first > n0:
+            raise DataError(f"{n_first} first emissions from only {n0} pairs")
+        c_ft_or = _counts_at(events.time[first & is_or], grid)
+        c_ft_pa = _counts_at(events.time[first & ~is_or], grid)
+        c_st_or = _counts_at(events.time[~first & is_or], grid)
+        c_st_pa = _counts_at(events.time[~first & ~is_or], grid)
+        n = n0 - c_ft_or - c_ft_pa
         n_or = c_ft_pa - c_st_or
         n_pa = c_ft_or - c_st_pa
         if np.any(n_or < 0) or np.any(n_pa < 0):
@@ -445,13 +482,12 @@ def histogram(
         if events.time.size > n0:
             raise DataError(f"{events.time.size} emissions from only {n0} atoms")
         is_or = events.species == OR_CODE
-        t_all = np.sort(events.time)
-        n = n0 - _counts_at(t_all, grid)
+        n = n0 - _counts_at(events.time, grid)
         zero = np.zeros(grid.size, dtype=np.int64)
         n_or = zero
         n_pa = zero.copy()
-        N_or = _counts_at(np.sort(events.time[is_or]), grid)
-        N_pa = _counts_at(np.sort(events.time[~is_or]), grid)
+        N_or = _counts_at(events.time[is_or], grid)
+        N_pa = _counts_at(events.time[~is_or], grid)
     return PopulationCurve(
         grid,
         n.astype(np.int64),

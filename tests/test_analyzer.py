@@ -320,3 +320,25 @@ def test_detect_validation():
 
 def test_default_threshold_value():
     assert default_threshold(1e6) == pytest.approx(3.0 * 1.36 / 1000.0, rel=1e-12)
+
+
+def test_pair_ids_beyond_n0_are_data_errors():
+    stream = _stream([0, 0, 3], [1.0, 2.0, 0.5], [0, 1, 0], [0, 1, 0], [0, 1, 0])
+    with pytest.raises(DataError):
+        estimate_rates(stream, 3, min_pairs=1)
+    with pytest.raises(DataError):
+        classify(stream, [1.0], n0=3)
+    with pytest.raises(DataError):
+        detect(stream, 3, RS11, min_pairs=1).fitted_rates
+
+
+def test_detect_fits_rates_on_first_read():
+    sc = Scenario(n0=20_000, rates=RS11, seed=48)
+    stream, _ = simulate(sc)
+    verdict = detect(stream, sc.n0, RS11, min_pairs=50)
+    assert "fitted_rates" not in vars(verdict)
+    assert verdict.fitted_rates == estimate_rates(stream, sc.n0, 50)
+    assert "fitted_rates" in vars(verdict)
+    assert detect(erase_identities(stream), sc.n0, RS11).fitted_rates is None
+    assert detect(classify(stream, sc.grid(), sc.n0), sc.n0, RS11).fitted_rates is None
+    assert detect(evaluate_curve(sc), sc.n0, RS11).fitted_rates is None

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decaylab import (
     ConfigError,
@@ -29,6 +31,9 @@ from decaylab.montecarlo import (
     PA_CODE,
     R_CODE,
     SECOND_CODE,
+    UNKNOWN_CODE,
+    UNKNOWN_PAIR,
+    _time_order,
 )
 
 RS11 = RateSet(1.0, 1.0)
@@ -292,3 +297,70 @@ def test_event_stream_sorting_and_access():
     assert ev.side is Side.L
     assert ev.order is EmissionOrder.FIRST
     assert stream.has_identities
+
+
+def test_event_stream_rejects_negative_pair_ids():
+    with pytest.raises(DataError):
+        _stream([-2], [1.0], [OR_CODE], [L_CODE], [FIRST_CODE])
+    erased = _stream([UNKNOWN_PAIR], [1.0], [OR_CODE], [L_CODE], [UNKNOWN_CODE])
+    assert not erased.has_identities
+
+
+COLUMNS = ("pair_id", "time", "species", "side", "order")
+
+
+@st.composite
+def tied_pairs(draw):
+    # integer times force exact ties across pairs, times a few ulps apart
+    # differ only in their lowest bits, and -0.0 ties with 0.0; a zero delay
+    # makes a pair's second emission tie with its own first
+    n = draw(st.integers(0, 40))
+    ints = st.lists(st.integers(0, 5), min_size=n, max_size=n)
+    whole = np.array(draw(ints), dtype=float)
+    t1 = whole + np.array(draw(ints)) % 3 * np.spacing(whole)
+    t1[t1 == 0.0] = draw(st.sampled_from([0.0, -0.0]))
+    t2 = t1 + np.array(draw(ints), dtype=float)
+    species_1 = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), np.uint8)
+    side_1 = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), np.uint8)
+    ids = np.arange(n, dtype=np.int64)
+    # the row layout simulate sorts: every first emission, then every second
+    stream = EventStream(
+        np.concatenate([ids, ids]),
+        np.concatenate([t1, t2]),
+        np.concatenate([species_1, species_1 ^ 1]),
+        np.concatenate([side_1, side_1 ^ 1]),
+        np.repeat(np.array([FIRST_CODE, SECOND_CODE], np.uint8), n),
+    )
+    perm = np.array(draw(st.permutations(range(2 * n))), dtype=np.intp)
+    return stream, perm
+
+
+def _lexsorted(stream):
+    idx = np.lexsort((stream.order, stream.pair_id, stream.time))
+    return idx, EventStream(*(getattr(stream, c)[idx] for c in COLUMNS))
+
+
+def _assert_same(a, b):
+    for c in COLUMNS:
+        np.testing.assert_array_equal(getattr(a, c), getattr(b, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_pairs())
+def test_time_order_matches_lexsort_with_ties(case):
+    stream, perm = case
+    want_idx, want = _lexsorted(stream)
+    idx, time = _time_order(stream.time, stream.pair_id, stream.order)
+    np.testing.assert_array_equal(idx, want_idx)
+    np.testing.assert_array_equal(time, want.time)
+    shuffled = EventStream(*(getattr(stream, c)[perm] for c in COLUMNS))
+    _assert_same(shuffled.sorted_by_time(), want)
+    # erased rows repeat (pair, order), so lexsort's stable order decides
+    blind = EventStream(
+        np.full(len(shuffled), UNKNOWN_PAIR),
+        shuffled.time,
+        shuffled.species,
+        shuffled.side,
+        np.full(len(shuffled), UNKNOWN_CODE),
+    )
+    _assert_same(blind.sorted_by_time(), _lexsorted(blind)[1])
