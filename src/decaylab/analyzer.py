@@ -50,7 +50,6 @@ from .kinetics import PopulationCurve
 from .montecarlo import (
     FIRST_CODE,
     OR_CODE,
-    PA_CODE,
     SECOND_CODE,
     SPECIES_CODE,
     UNKNOWN_CODE,
@@ -139,29 +138,21 @@ def classify(events: EventStream, grid, n0: int) -> ClassifiedCounts:
         raise DataError("pair ids must lie in [0, n0)")
     first = events.order == FIRST_CODE
     second = events.order == SECOND_CODE
-    bc1 = np.bincount(pid[first], minlength=n0)
-    bc2 = np.bincount(pid[second], minlength=n0)
-    if bc1.size and bc1.max() > 1:
+    r1, r2 = np.flatnonzero(first), np.flatnonzero(second)
+    # each pair's first-emission row, -1 where it has none
+    first_row = np.full(n0, -1, dtype=np.intp)
+    first_row[pid[r1]] = r1
+    if np.count_nonzero(first_row >= 0) != r1.size:
         raise DataError("a pair carries two first emissions")
-    if bc2.size and bc2.max() > 1:
+    if r2.size and np.bincount(pid[r2]).max() > 1:
         raise DataError("a pair carries two second emissions")
-    if np.any(bc2 > bc1):
+    j = first_row[pid[r2]]
+    if np.any(j < 0):
         raise DataError("a second emission has no matching first")
-
-    both = (bc1 == 1) & (bc2 == 1)
-    if np.any(both):
-        species_1 = np.zeros(n0, dtype=np.uint8)
-        species_2 = np.zeros(n0, dtype=np.uint8)
-        t1 = np.zeros(n0)
-        t2 = np.zeros(n0)
-        species_1[pid[first]] = events.species[first]
-        species_2[pid[second]] = events.species[second]
-        t1[pid[first]] = events.time[first]
-        t2[pid[second]] = events.time[second]
-        if np.any(species_1[both] == species_2[both]):
-            raise DataError("a pair emitted the same species twice")
-        if np.any(t2[both] < t1[both]):
-            raise DataError("a second emission precedes its first")
+    if np.any(events.species[r2] == events.species[j]):
+        raise DataError("a pair emitted the same species twice")
+    if np.any(events.time[r2] < events.time[j]):
+        raise DataError("a second emission precedes its first")
 
     is_or = events.species == OR_CODE
 
@@ -264,20 +255,27 @@ def estimate_rates(
     gamma_t_est = n_pairs / total
     t1_by_pair = np.full(n0, np.nan)
     t1_by_pair[events.pair_id[first]] = first_times
+    if np.count_nonzero(~np.isnan(t1_by_pair)) != n_pairs:
+        raise DataError("a pair carries two first emissions")
+    r2 = np.flatnonzero(events.order == SECOND_CODE)
+    pid2 = events.pair_id[r2]
+    if pid2.size and np.bincount(pid2).max() > 1:
+        raise DataError("a pair carries two second emissions")
+    # gaps stay in row order, so each species' sum is that of its own rows
+    gaps = events.time[r2] - t1_by_pair[pid2]
+    if np.any(~np.isfinite(gaps)) or np.any(gaps < 0.0):
+        raise DataError("second emissions without consistent firsts")
+    is_or = events.species[r2] == OR_CODE
 
-    def species_fit(code: int) -> tuple[float, float, int]:
-        mask = (events.order == SECOND_CODE) & (events.species == code)
+    def species_fit(mask: np.ndarray) -> tuple[float, float, int]:
         k = int(np.count_nonzero(mask))
         if k == 0:
             return math.nan, math.nan, 0
-        gaps = events.time[mask] - t1_by_pair[events.pair_id[mask]]
-        if np.any(~np.isfinite(gaps)) or np.any(gaps < 0.0):
-            raise DataError("second emissions without consistent firsts")
-        rate = k / float(gaps.sum())
+        rate = k / float(gaps[mask].sum())
         return rate, rate / math.sqrt(k), k
 
-    or_est, or_se, k_or = species_fit(OR_CODE)
-    pa_est, pa_se, k_pa = species_fit(PA_CODE)
+    or_est, or_se, k_or = species_fit(is_or)
+    pa_est, pa_se, k_pa = species_fit(~is_or)
     return RateEstimates(
         gamma_t_est=gamma_t_est,
         gamma_t_se=gamma_t_est / math.sqrt(n_pairs),

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +59,20 @@ EVENTS_HEADER = "pair_id,time,species,side,order"
 # entangled rate this many times the free rate triggers a plausibility warning
 WARN_RATE_FACTOR = 1e3
 
-_SPECIES_NAMES = np.array(["or", "pa"])
-_SIDE_NAMES = np.array(["L", "R"])
-_ORDER_NAMES = np.array(["first", "second", "unknown"])
+# rows formatted and written per file write; bounds the writers' memory
+_CHUNK = 8192
+
+# everything of an events.csv row after its time, keyed species * 6 + side * 3
+# + order (the montecarlo column codes)
+_EVENT_SUFFIXES = np.array(
+    [
+        f",{species},{side},{order}\n"
+        for species in ("or", "pa")
+        for side in ("L", "R")
+        for order in ("first", "second", "unknown")
+    ],
+    dtype=object,
+)
 
 
 @dataclass(frozen=True)
@@ -315,33 +327,44 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+def _write_rows(path: Path, header: str, row_format: str, n: int, cells) -> None:
+    """Write a header line, then n rows of row_format, _CHUNK rows per write.
+
+    cells(lo, hi) returns the columns of rows [lo, hi) as lists of Python
+    scalars; one % over the repeated row format renders the whole chunk.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            values = tuple(chain.from_iterable(zip(*cells(lo, hi))))
+            fh.write(row_format * (hi - lo) % values)
 
 
 def write_curve_csv(path: Path, curve) -> None:
-    columns = (curve.n, curve.n_or, curve.n_pa, curve.N_or, curve.N_pa)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(CURVE_HEADER + "\n")
-        for i, t in enumerate(curve.grid):
-            row = ",".join([_fmt(t)] + [_fmt(col[i]) for col in columns])
-            fh.write(row + "\n")
+    columns = (curve.grid, curve.n, curve.n_or, curve.n_pa, curve.N_or, curve.N_pa)
+    # "%.17g" % x equals format(x, ".17g") for every float, -0.0 and subnormals
+    # included, and integer counts print in full
+    specs = ("%d" if col.dtype.kind in "biu" else "%.17g" for col in columns)
+    _write_rows(
+        path,
+        CURVE_HEADER,
+        ",".join(specs) + "\n",
+        curve.grid.size,
+        lambda lo, hi: [col[lo:hi].tolist() for col in columns],
+    )
 
 
 def write_events_csv(path: Path, stream: EventStream) -> None:
-    species = _SPECIES_NAMES[stream.species]
-    sides = _SIDE_NAMES[stream.side]
-    orders = _ORDER_NAMES[stream.order]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(EVENTS_HEADER + "\n")
-        fh.writelines(
-            f"{pid},{time:.17g},{sp},{side},{order}\n"
-            for pid, time, sp, side, order in zip(
-                stream.pair_id, stream.time, species, sides, orders
-            )
+    def cells(lo: int, hi: int) -> tuple[list, list, list]:
+        key = stream.species[lo:hi] * 6 + stream.side[lo:hi] * 3 + stream.order[lo:hi]
+        return (
+            stream.pair_id[lo:hi].tolist(),
+            stream.time[lo:hi].tolist(),
+            _EVENT_SUFFIXES[key].tolist(),
         )
+
+    _write_rows(path, EVENTS_HEADER, "%d,%.17g%s", len(stream), cells)
 
 
 def _json_float(value: float):

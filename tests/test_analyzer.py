@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decaylab import (
     ClassifiedCounts,
@@ -120,6 +122,65 @@ def test_classify_rejects_structural_violations():
         classify(_stream([5, 5], [1.0, 2.0], [0, 1], [0, 1], [0, 1]), [1.0], n0=2)
 
 
+def _pair_check_reference(stream, n0):
+    """The pair-structure checks of classify, one n0-long scatter per column;
+    returns the DataError message, or None for a sound stream."""
+    pid = stream.pair_id
+    first, second = stream.order == FIRST_CODE, stream.order == SECOND_CODE
+    bc1 = np.bincount(pid[first], minlength=n0)
+    bc2 = np.bincount(pid[second], minlength=n0)
+    if bc1.max() > 1:
+        return "a pair carries two first emissions"
+    if bc2.max() > 1:
+        return "a pair carries two second emissions"
+    if np.any(bc2 > bc1):
+        return "a second emission has no matching first"
+    both = (bc1 == 1) & (bc2 == 1)
+    species_1, species_2 = np.zeros(n0, np.uint8), np.zeros(n0, np.uint8)
+    t1, t2 = np.zeros(n0), np.zeros(n0)
+    species_1[pid[first]] = stream.species[first]
+    species_2[pid[second]] = stream.species[second]
+    t1[pid[first]] = stream.time[first]
+    t2[pid[second]] = stream.time[second]
+    if np.any(species_1[both] == species_2[both]):
+        return "a pair emitted the same species twice"
+    if np.any(t2[both] < t1[both]):
+        return "a second emission precedes its first"
+    return None
+
+
+@st.composite
+def small_streams(draw):
+    # a few pairs and a few rows, so that every kind of violation shows up
+    n0 = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 8))
+
+    def column(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    stream = _stream(
+        column(st.integers(0, n0 - 1)),
+        column(st.sampled_from([0.0, 1.0, 2.0])),
+        column(st.integers(0, 1)),
+        column(st.integers(0, 1)),
+        column(st.sampled_from([FIRST_CODE, SECOND_CODE])),
+    )
+    return stream, n0
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_streams())
+def test_classify_pair_checks_match_reference(case):
+    stream, n0 = case
+    want = _pair_check_reference(stream, n0)
+    if want is None:
+        classify(stream, [1.0], n0)
+    else:
+        with pytest.raises(DataError) as err:
+            classify(stream, [1.0], n0)
+        assert str(err.value) == want
+
+
 def test_classified_counts_validation():
     grid = np.array([0.5, 1.5])
     zeros = np.zeros(2, dtype=np.int64)
@@ -215,6 +276,26 @@ def test_estimate_rates_needs_enough_pairs():
     assert est.n_pairs == 50
     with pytest.raises(UnclassifiableError):
         estimate_rates(erase_identities(stream), 50)
+
+
+def test_estimate_rates_rejects_two_firsts():
+    # pair 0 emits two firsts: three first emissions from two pairs
+    stream = _stream([1, 0, 0, 1], [0.5, 1.0, 1.5, 2.0], [0, 0, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1])
+    with pytest.raises(DataError, match="two first"):
+        estimate_rates(stream, 2, min_pairs=1)
+
+
+def test_estimate_rates_rejects_two_seconds():
+    # pair 0 emits two seconds: three pa seconds from two pairs
+    stream = _stream(
+        [1, 0, 1, 0, 0],
+        [0.5, 1.0, 1.0, 2.0, 3.0],
+        [0, 0, 1, 1, 1],
+        [0, 0, 1, 1, 1],
+        [0, 0, 1, 1, 1],
+    )
+    with pytest.raises(DataError, match="two second"):
+        estimate_rates(stream, 2, min_pairs=1)
 
 
 # ---------------------------------------------------------------------------

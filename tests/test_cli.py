@@ -1,12 +1,25 @@
 """Tests for the config parser, CSV writers, and command-line entry point."""
 
+import csv
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from decaylab import ConfigError
+import decaylab.cli as cli
+from decaylab import (
+    ConfigError,
+    EventStream,
+    PopulationCurve,
+    RateSet,
+    Scenario,
+    erase_identities,
+    simulate,
+)
 from decaylab.cli import (
     CURVE_HEADER,
     EVENTS_HEADER,
@@ -14,6 +27,8 @@ from decaylab.cli import (
     main,
     parse_complex,
     parse_config,
+    write_curve_csv,
+    write_events_csv,
 )
 
 MINIMAL = "n0 = 1000\ngamma_or = 1.0\ngamma_pa = 1.0\n"
@@ -205,6 +220,124 @@ def test_csv_floats_round_trip(tmp_path):
     assert np.array_equal(t, np.linspace(0.0, 3.7, 64))
 
 
+# ---------------------------------------------------------------------------
+# CSV writers against one-row-at-a-time reference writers
+
+SPECIES_NAMES = ("or", "pa")
+SIDE_NAMES = ("L", "R")
+ORDER_NAMES = ("first", "second", "unknown")
+SMALL_CHUNK = 4
+
+
+def _fmt_reference(value) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def _curve_csv_reference(curve) -> bytes:
+    columns = (curve.n, curve.n_or, curve.n_pa, curve.N_or, curve.N_pa)
+    lines = [CURVE_HEADER]
+    for i, t in enumerate(curve.grid):
+        lines.append(",".join([_fmt_reference(t)] + [_fmt_reference(c[i]) for c in columns]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _events_csv_reference(stream) -> bytes:
+    lines = [EVENTS_HEADER]
+    for i in range(len(stream)):
+        lines.append(
+            f"{stream.pair_id[i]},{stream.time[i]:.17g},"
+            f"{SPECIES_NAMES[stream.species[i]]},{SIDE_NAMES[stream.side[i]]},"
+            f"{ORDER_NAMES[stream.order[i]]}"
+        )
+    return ("\n".join(lines) + "\n").encode()
+
+
+# the lengths around a chunk boundary, or any length over a few chunks
+ROWS = st.one_of(
+    st.sampled_from([0, 1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1]),
+    st.integers(0, 3 * SMALL_CHUNK + 1),
+)
+# edge times: -0.0, the smallest subnormal, a huge value
+TIMES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e300]),
+    st.floats(min_value=0.0, allow_infinity=False),
+)
+
+
+@st.composite
+def streams(draw):
+    n = draw(ROWS)
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    stream = EventStream(
+        np.array(column(st.integers(-1, 2**63 - 1)), dtype=np.int64),
+        np.array(column(TIMES), dtype=float),
+        np.array(column(st.integers(0, 1)), dtype=np.uint8),
+        np.array(column(st.integers(0, 1)), dtype=np.uint8),
+        np.array(column(st.integers(0, 2)), dtype=np.uint8),
+    )
+    return erase_identities(stream) if draw(st.booleans()) else stream
+
+
+@st.composite
+def curves(draw):
+    n = draw(ROWS.filter(bool))
+    steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n - 1, max_size=n - 1))
+    grid = np.concatenate([[0.0], np.cumsum(steps)])
+
+    def column():
+        if draw(st.booleans()):
+            ints = st.integers(0, 2**63 - 1)
+            return np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64)
+        return np.array(draw(st.lists(TIMES, min_size=n, max_size=n)), dtype=float)
+
+    return PopulationCurve(grid, *(column() for _ in range(5)), n0=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams())
+def test_events_csv_matches_reference_writer(tmp_path_factory, stream):
+    path = tmp_path_factory.mktemp("events") / "events.csv"
+    with mock.patch.object(cli, "_CHUNK", SMALL_CHUNK):
+        write_events_csv(path, stream)
+    assert path.read_bytes() == _events_csv_reference(stream)
+
+
+@settings(max_examples=150, deadline=None)
+@given(curves())
+def test_curve_csv_matches_reference_writer(tmp_path_factory, curve):
+    path = tmp_path_factory.mktemp("curve") / "curve.csv"
+    with mock.patch.object(cli, "_CHUNK", SMALL_CHUNK):
+        write_curve_csv(path, curve)
+    assert path.read_bytes() == _curve_csv_reference(curve)
+
+
+@pytest.mark.parametrize("erase", [False, True])
+def test_events_csv_rebuilds_every_column(tmp_path, erase):
+    # 2e4 rows span three chunks of the real size
+    stream, _ = simulate(Scenario(n0=10_000, rates=RateSet(1.3, 0.7), seed=9))
+    if erase:
+        stream = erase_identities(stream)
+    path = tmp_path / "events.csv"
+    write_events_csv(path, stream)
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert ",".join(header) == EVENTS_HEADER
+    pair_id, time, species, side, order = zip(*rows)
+    np.testing.assert_array_equal(np.array(pair_id, dtype=np.int64), stream.pair_id)
+    np.testing.assert_array_equal(np.array([float(t) for t in time]), stream.time)
+    for names, text, codes in (
+        (SPECIES_NAMES, species, stream.species),
+        (SIDE_NAMES, side, stream.side),
+        (ORDER_NAMES, order, stream.order),
+    ):
+        np.testing.assert_array_equal([names.index(v) for v in text], codes)
+
+
 def test_rerun_is_byte_identical(tmp_path):
     text = MINIMAL + "emit = montecarlo\nseed = 17\n"
     _, out1 = _run(tmp_path, text)
@@ -299,6 +432,15 @@ def test_runtime_domain_error_exits_3(tmp_path, capsys):
     assert code == 3
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "DomainError"
+
+
+def test_oversized_n0_exits_3_before_allocating(tmp_path, capsys):
+    text = "n0 = 10000000000000\ngamma_or = 1.0\ngamma_pa = 1.0\nemit = montecarlo\n"
+    code, _ = _run(tmp_path, text)
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "DomainError"
 
 
 def test_bad_seed_override_exits_3(tmp_path):

@@ -299,6 +299,11 @@ def test_event_stream_sorting_and_access():
     assert stream.has_identities
 
 
+def test_simulate_rejects_n0_beyond_physical_memory():
+    with pytest.raises(DomainError, match="physical memory"):
+        simulate(Scenario(n0=10**13, rates=RS11))
+
+
 def test_event_stream_rejects_negative_pair_ids():
     with pytest.raises(DataError):
         _stream([-2], [1.0], [OR_CODE], [L_CODE], [FIRST_CODE])
