@@ -267,15 +267,18 @@ def estimate_rates(
         raise DataError("second emissions without consistent firsts")
     is_or = events.species[r2] == OR_CODE
 
-    def species_fit(mask: np.ndarray) -> tuple[float, float, int]:
+    def species_fit(mask: np.ndarray, name: str) -> tuple[float, float, int]:
         k = int(np.count_nonzero(mask))
         if k == 0:
             return math.nan, math.nan, 0
-        rate = k / float(gaps[mask].sum())
+        total = float(gaps[mask].sum())
+        if total <= 0.0:
+            raise DataError(f"{name} second-emission delays sum to zero")
+        rate = k / total
         return rate, rate / math.sqrt(k), k
 
-    or_est, or_se, k_or = species_fit(is_or)
-    pa_est, pa_se, k_pa = species_fit(~is_or)
+    or_est, or_se, k_or = species_fit(is_or, Species.OR.value)
+    pa_est, pa_se, k_pa = species_fit(~is_or, Species.PA.value)
     return RateEstimates(
         gamma_t_est=gamma_t_est,
         gamma_t_se=gamma_t_est / math.sqrt(n_pairs),
@@ -339,10 +342,16 @@ def _stream_distance(sorted_times: np.ndarray, n0: float, gamma: float) -> float
     tail = abs(k / n0 - 1.0)
     if k == 0:
         return tail
-    model = -np.expm1(-gamma * sorted_times)
-    steps = np.arange(k, dtype=float)
-    before = np.max(np.abs(model - steps / n0))
-    after = np.max(np.abs((steps + 1.0) / n0 - model))
+    model = np.multiply(sorted_times, -gamma)
+    np.expm1(model, out=model)
+    np.negative(model, out=model)
+    # levels[j] = j / n0, the count fraction between jumps j - 1 and j
+    levels = np.arange(k + 1, dtype=float)
+    levels /= n0
+    gap = np.subtract(model, levels[:-1])
+    before = max(abs(gap.max()), abs(gap.min()))
+    np.subtract(levels[1:], model, out=gap)
+    after = max(abs(gap.max()), abs(gap.min()))
     return max(before, after, tail)
 
 

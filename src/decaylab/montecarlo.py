@@ -63,13 +63,14 @@ UNKNOWN_PAIR = -1
 _BLOCK = 1 << 16
 _MAX_THREADS = 64
 
-# Peak bytes simulate holds per entangled pair, reached while the sorted
-# stream is gathered: 18 of draw columns (two float64 times, two bools), 10 of
-# pair ids and first-row codes, 38 of unsorted rows (two rows of int64 pair
-# id, float64 time and three uint8 codes), 16 of sort permutation and 38 of
-# sorted rows.  Product mode needs about half.  tracemalloc reads 119 at
-# n0 = 1e6.
-_PEAK_BYTES_PER_PAIR = 120
+# Peak bytes simulate holds per entangled pair, reached while histogram
+# counts the sorted stream: 17 of draw output (two float64 times and one
+# packed uint8 code), 16 of sort permutation, 38 of sorted rows (two rows of
+# int64 pair id, float64 time and three uint8 codes), 2 of gathered first
+# codes and 8 of histogram temporaries (category codes, one category mask
+# and its ~4 bytes of row positions).  Product mode needs about half.
+# tracemalloc reads 82 at n0 = 1e6.
+_PEAK_BYTES_PER_PAIR = 84
 
 
 class Side(Enum):
@@ -191,7 +192,7 @@ class EventStream:
 
 
 def _time_order(
-    time: np.ndarray, pair_id: np.ndarray, order: np.ndarray
+    time: np.ndarray, pair_id: np.ndarray | None = None, order: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The permutation np.lexsort((order, pair_id, time)), and time under it.
 
@@ -202,6 +203,8 @@ def _time_order(
     rows whose keys agree in the time bits, exact ties among them, are then
     re-sorted by (time, pair, order); the key sort leaves each run in row
     order, which lexsort's stability keeps for rows equal in all three keys.
+    Without pair_id and order the rows are taken to be in (pair, order)
+    order already, so ties keep row order.
     """
     bits = max(time.size - 1, 1).bit_length()
     row_mask = np.uint64((1 << bits) - 1)
@@ -218,7 +221,11 @@ def _time_order(
         in_run[:-1] |= tie
         pos = np.flatnonzero(in_run)
         rows = idx[pos]
-        idx[pos] = rows[np.lexsort((order[rows], pair_id[rows], time[rows]))]
+        if pair_id is None:
+            keys = (time[rows],)
+        else:
+            keys = (order[rows], pair_id[rows], time[rows])
+        idx[pos] = rows[np.lexsort(keys)]
     return idx, time[idx]
 
 
@@ -398,31 +405,31 @@ def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
         er = derive_rates(rates)
         if er.gamma_t <= 0.0:
             raise NoDecayError("gamma_t = 0: entangled pairs never emit")
-        first_time = np.empty(n0)
-        first_or = np.empty(n0, dtype=bool)
-        second_time = np.empty(n0)
-        first_left = np.empty(n0, dtype=bool)
+        # pair p's first and second emission are rows 2p and 2p + 1
+        times = np.empty((n0, 2))
+        # species | side << 1 of each pair's first emission
+        codes = np.empty(n0, dtype=np.uint8)
 
         def fill(lo: int, hi: int) -> None:
             rng = pair_substream(seed, lo)
             u = rng.random((hi - lo) * DRAWS_PER_PAIR).reshape(-1, DRAWS_PER_PAIR)
             t1, s_or, t2, left = _entangled_from_uniforms(u, rates, er)
-            first_time[lo:hi] = t1
-            first_or[lo:hi] = s_or
-            second_time[lo:hi] = t2
-            first_left[lo:hi] = left
+            times[lo:hi, 0] = t1
+            times[lo:hi, 1] = t2
+            # PA_CODE and R_CODE are 1, OR_CODE and L_CODE are 0
+            codes[lo:hi] = (~s_or).astype(np.uint8) | (~left).astype(np.uint8) << 1
 
     else:
         gamma_h = rates.gamma(scenario.product_species)
-        first_time = np.empty(n0)
-        first_left = np.empty(n0, dtype=bool)
+        times = np.empty(n0)
+        codes = np.empty(n0, dtype=np.uint8)
 
         def fill(lo: int, hi: int) -> None:
             rng = pair_substream(seed, lo)
             u = rng.random((hi - lo) * DRAWS_PER_PAIR).reshape(-1, DRAWS_PER_PAIR)
             t, left = _product_from_uniforms(u, gamma_h)
-            first_time[lo:hi] = t
-            first_left[lo:hi] = left
+            times[lo:hi] = t
+            codes[lo:hi] = ~left  # R_CODE is 1, L_CODE 0
 
     spans = [(lo, min(lo + _BLOCK, n0)) for lo in range(0, n0, _BLOCK)]
     workers = _thread_count(scenario.parallel)
@@ -434,38 +441,41 @@ def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
         for lo, hi in spans:
             fill(lo, hi)
 
-    ids = np.arange(n0, dtype=np.int64)
+    # rows are in (pair, order) order, so the row tie-break is the lexsort's
+    idx, time_col = _time_order(times.ravel())
     if scenario.is_entangled:
-        species_1 = np.where(first_or, OR_CODE, PA_CODE).astype(np.uint8)
-        side_1 = np.where(first_left, L_CODE, R_CODE).astype(np.uint8)
-        pair_col = np.concatenate([ids, ids])
-        time_col = np.concatenate([first_time, second_time])
-        species_col = np.concatenate([species_1, species_1 ^ 1])
-        side_col = np.concatenate([side_1, side_1 ^ 1])
-        order_col = np.concatenate(
-            [
-                np.full(n0, FIRST_CODE, dtype=np.uint8),
-                np.full(n0, SECOND_CODE, dtype=np.uint8),
-            ]
-        )
+        pair_col = idx >> 1
+        order_col = idx.astype(np.uint8) & 1  # the low bit of the row
+        first = codes[pair_col]
+        # a second emission has the companion species and the opposite side
+        species_col = (first & 1) ^ order_col
+        side_col = (first >> 1) ^ order_col
     else:
-        code = SPECIES_CODE[scenario.product_species]
-        pair_col = ids
-        time_col = first_time
-        species_col = np.full(n0, code, dtype=np.uint8)
-        side_col = np.where(first_left, L_CODE, R_CODE).astype(np.uint8)
+        pair_col = idx
         order_col = np.full(n0, FIRST_CODE, dtype=np.uint8)
-
-    idx, time_col = _time_order(time_col, pair_col, order_col)
-    stream = EventStream(
-        pair_col[idx], time_col, species_col[idx], side_col[idx], order_col[idx]
-    )
+        species_col = np.full(n0, SPECIES_CODE[scenario.product_species], dtype=np.uint8)
+        side_col = codes[idx]
+    stream = EventStream(pair_col, time_col, species_col, side_col, order_col)
     curve = histogram(stream, scenario.grid(), n0, mode=scenario.mode)
     return stream, curve
 
 
-def _counts_at(times: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    return np.searchsorted(_sorted(times), grid, side="right")
+def _category_counts(
+    t: np.ndarray, grid: np.ndarray, categories: np.ndarray, k: int
+) -> list[np.ndarray]:
+    """Counts at or before each grid point of the rows of category 0..k-1.
+
+    On a non-decreasing time column the rows at or before a grid point are a
+    prefix, so one binary search per grid point finds its length, and a
+    category's count is the number of its rows inside that prefix.  Other
+    streams sort each category's times.
+    """
+    if np.all(t[1:] >= t[:-1]):
+        pos = np.searchsorted(t, grid, side="right")
+        return [np.searchsorted(np.flatnonzero(categories == c), pos) for c in range(k)]
+    return [
+        np.searchsorted(_sorted(t[categories == c]), grid, side="right") for c in range(k)
+    ]
 
 
 def histogram(
@@ -479,8 +489,9 @@ def histogram(
     Counting rests on the pair structure: a first emission of species H both
     removes an entangled pair and creates a lone companion(H) survivor; the
     matching second emission removes that survivor again.  All counts come
-    from binary searches over per-category sorted times, so they are exact
-    integers and conservation holds identically.
+    from binary searches, over the time column when it is sorted and over
+    per-category sorted times otherwise, so they are exact integers and
+    conservation holds identically.
     """
     grid = np.asarray(grid, dtype=float)
     n0 = _positive_n0(n0)
@@ -490,15 +501,13 @@ def histogram(
         known = events.order != UNKNOWN_CODE
         if not np.all(known):
             raise DataError("entangled histogram needs first/second order tags")
-        first = events.order == FIRST_CODE
-        is_or = events.species == OR_CODE
-        n_first = int(np.count_nonzero(first))
+        n_first = int(np.count_nonzero(events.order == FIRST_CODE))
         if n_first > n0:
             raise DataError(f"{n_first} first emissions from only {n0} pairs")
-        c_ft_or = _counts_at(events.time[first & is_or], grid)
-        c_ft_pa = _counts_at(events.time[first & ~is_or], grid)
-        c_st_or = _counts_at(events.time[~first & is_or], grid)
-        c_st_pa = _counts_at(events.time[~first & ~is_or], grid)
+        # category order << 1 | species: first or, first pa, second or, second pa
+        c_ft_or, c_ft_pa, c_st_or, c_st_pa = _category_counts(
+            events.time, grid, events.order << 1 | events.species, 4
+        )
         n = n0 - c_ft_or - c_ft_pa
         n_or = c_ft_pa - c_st_or
         n_pa = c_ft_or - c_st_pa
@@ -509,13 +518,11 @@ def histogram(
     else:
         if events.time.size > n0:
             raise DataError(f"{events.time.size} emissions from only {n0} atoms")
-        is_or = events.species == OR_CODE
-        n = n0 - _counts_at(events.time, grid)
+        N_or, N_pa = _category_counts(events.time, grid, events.species, 2)
+        n = n0 - N_or - N_pa
         zero = np.zeros(grid.size, dtype=np.int64)
         n_or = zero
         n_pa = zero.copy()
-        N_or = _counts_at(events.time[is_or], grid)
-        N_pa = _counts_at(events.time[~is_or], grid)
     return PopulationCurve(
         grid,
         n.astype(np.int64),

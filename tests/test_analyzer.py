@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from decaylab import (
     ClassifiedCounts,
     DataError,
+    DecayLabError,
     DomainError,
     EventStream,
     InsufficientDataError,
@@ -27,6 +28,7 @@ from decaylab import (
     reconstruct,
     simulate,
 )
+from decaylab.analyzer import _stream_distance
 from decaylab.montecarlo import (
     FIRST_CODE,
     L_CODE,
@@ -298,6 +300,25 @@ def test_estimate_rates_rejects_two_seconds():
         estimate_rates(stream, 2, min_pairs=1)
 
 
+def _zero_delay_stream():
+    # pair 0's second emission leaves no delay after its first, which
+    # classify accepts, so the pa delays sum to zero
+    return _stream([0, 0], [1.0, 1.0], [OR_CODE, PA_CODE], [L_CODE, R_CODE], [0, 1])
+
+
+def test_estimate_rates_rejects_zero_delay_sum():
+    stream = _zero_delay_stream()
+    classify(stream, [0.0, 1.0], n0=1)
+    with pytest.raises(DataError, match="pa second-emission delays sum to zero"):
+        estimate_rates(stream, 1, min_pairs=1)
+
+
+def test_fitted_rates_rejects_zero_delay_sum():
+    verdict = detect(_zero_delay_stream(), 1, RS11, min_pairs=1)
+    with pytest.raises(DataError, match="delays sum to zero"):
+        verdict.fitted_rates
+
+
 # ---------------------------------------------------------------------------
 # detection
 
@@ -399,6 +420,33 @@ def test_detect_validation():
         product_model_distance(curve, 1000.0, Species.OR, 0.0)
 
 
+def _stream_distance_reference(sorted_times, n0, gamma):
+    # the plain form of the sup distance, one temporary per step
+    k = sorted_times.size
+    tail = abs(k / n0 - 1.0)
+    if k == 0:
+        return tail
+    model = -np.expm1(-gamma * sorted_times)
+    steps = np.arange(k, dtype=float)
+    before = np.max(np.abs(model - steps / n0))
+    after = np.max(np.abs((steps + 1.0) / n0 - model))
+    return max(before, after, tail)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 1e-9, 0.1, 0.5, 0.7, 1.0, 2.0, 30.0]), max_size=40).map(sorted),
+    st.one_of(st.integers(1, 60), st.floats(0.5, 1e7)),
+    st.floats(1e-3, 1e3),
+)
+def test_stream_distance_matches_reference_bits(times, n0, gamma):
+    times = np.array(times, dtype=float)
+    got = _stream_distance(times, n0, gamma)
+    want = _stream_distance_reference(times, n0, gamma)
+    assert type(got) is type(want)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_default_threshold_value():
     assert default_threshold(1e6) == pytest.approx(3.0 * 1.36 / 1000.0, rel=1e-12)
 
@@ -423,3 +471,50 @@ def test_detect_fits_rates_on_first_read():
     assert detect(erase_identities(stream), sc.n0, RS11).fitted_rates is None
     assert detect(classify(stream, sc.grid(), sc.n0), sc.n0, RS11).fitted_rates is None
     assert detect(evaluate_curve(sc), sc.n0, RS11).fitted_rates is None
+
+
+@st.composite
+def malformed_inputs(draw):
+    # columns that EventStream accepts but that may break every pair rule:
+    # pair ids out of range, repeated or erased, orders unknown, seconds
+    # before firsts, zero and extreme times; grids empty, unsorted, negative,
+    # non-finite or not 1-d
+    n = draw(st.integers(0, 12))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    stream = EventStream(
+        np.array(column(st.integers(-1, 6)), dtype=np.int64),
+        np.array(column(st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0, 2.0, 1e300]))),
+        np.array(column(st.integers(0, 1)), dtype=np.uint8),
+        np.array(column(st.integers(0, 1)), dtype=np.uint8),
+        np.array(column(st.integers(0, 2)), dtype=np.uint8),
+    )
+    point = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0, -1.0, np.nan, np.inf])
+    grid = draw(
+        st.one_of(
+            st.lists(point, max_size=6),
+            st.lists(point, min_size=2, max_size=6).map(lambda g: [g[: len(g) // 2]] * 2),
+            point,
+        )
+    )
+    n0 = draw(st.one_of(st.integers(-1, 8), st.sampled_from([2.5, True])))
+    return stream, grid, n0, draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_inputs(), st.sampled_from(["entangled", "product"]))
+def test_malformed_inputs_raise_only_package_errors(case, mode):
+    stream, grid, n0, min_pairs = case
+    calls = (
+        lambda: classify(stream, grid, n0),
+        lambda: estimate_rates(stream, n0, min_pairs),
+        lambda: histogram(stream, grid, n0, mode=mode),
+        lambda: detect(stream, n0, RS11, min_pairs=min_pairs).fitted_rates,
+    )
+    for call in calls:
+        try:
+            call()
+        except DecayLabError:
+            pass

@@ -1,5 +1,7 @@
 """Tests for the stochastic pair simulator and exact event histograms."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from decaylab.montecarlo import (
     PA_CODE,
     R_CODE,
     SECOND_CODE,
+    SPECIES_CODE,
     UNKNOWN_CODE,
     UNKNOWN_PAIR,
     _time_order,
@@ -369,3 +372,166 @@ def test_time_order_matches_lexsort_with_ties(case):
         np.full(len(shuffled), UNKNOWN_CODE),
     )
     _assert_same(blind.sorted_by_time(), _lexsorted(blind)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_pairs())
+def test_time_order_of_interleaved_rows_matches_lexsort(case):
+    # simulate's own layout puts pair p's emissions in rows 2p and 2p + 1, so
+    # row order is (pair, order) order and no tie columns are passed
+    stream, _ = case
+    n = len(stream) // 2
+    interleaved = np.arange(2 * n).reshape(2, n).T.ravel()
+    rows = EventStream(*(getattr(stream, c)[interleaved] for c in COLUMNS))
+    want_idx, want = _lexsorted(rows)
+    idx, time = _time_order(rows.time)
+    np.testing.assert_array_equal(idx, want_idx)
+    np.testing.assert_array_equal(time, want.time)
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+
+
+def _reference_stream(scenario):
+    # every pair drawn alone by sample_pair, laid out as every first emission
+    # then every second, and ordered by lexsort on (time, pair, order)
+    er = derive_rates(scenario.rates)
+    events = [
+        sample_pair(pid, scenario.rates, er, pair_substream(scenario.seed, pid))
+        for pid in range(scenario.n0)
+    ]
+    rows = [pair[0] for pair in events] + [pair[1] for pair in events]
+    stream = EventStream(
+        np.array([e.pair_id for e in rows]),
+        np.array([e.time for e in rows]),
+        np.array([SPECIES_CODE[e.species] for e in rows]),
+        np.array([L_CODE if e.side is Side.L else R_CODE for e in rows]),
+        np.array([FIRST_CODE if e.order is EmissionOrder.FIRST else SECOND_CODE for e in rows]),
+    )
+    return _lexsorted(stream)[1]
+
+
+@pytest.mark.parametrize("rates", [RS11, RateSet(1.3, 0.7, w_or=0.2 - 0.1j, w_pa=-0.3)])
+def test_simulate_matches_reference_rows(rates):
+    sc = Scenario(n0=300, rates=rates, seed=19)
+    stream, _ = simulate(sc)
+    want = _reference_stream(sc)
+    _assert_same(stream, want)
+    for c in COLUMNS:
+        assert getattr(stream, c).dtype == getattr(want, c).dtype
+
+
+def _digest(a):
+    little = a.astype(a.dtype.newbyteorder("<"), copy=False)
+    return hashlib.blake2b(little.tobytes(), digest_size=16).hexdigest()
+
+
+# blake2b digests of every stream column and curve field, recorded from the
+# simulator that concatenated its rows; three full blocks plus a partial one
+PINNED_N0 = 3 * (1 << 16) + 101
+PINNED = [
+    (
+        Scenario(n0=PINNED_N0, rates=RateSet(1.3, 0.7, w_or=0.2 - 0.1j, w_pa=-0.3), seed=31),
+        {
+            "pair_id": "803738b9b8deb9024cfbc5f245ae78b8",
+            "time": "07198109985cf70e32c248008b621746",
+            "species": "64e2fe2f591c9e69fd6a203b997b2a6c",
+            "side": "dc2677912b573ffa215c3a025682d064",
+            "order": "226850eebe76abeb72513dd7876a0458",
+        },
+        {
+            "n": "da00295ac2463ced839b14e557581a96",
+            "n_or": "c58e8332b95fdba25455dd286ef518ec",
+            "n_pa": "f6b1f5b8bb1758cfec6b27f1b49e824e",
+            "N_or": "ece96662c4a289951a017a042a79bae4",
+            "N_pa": "c9d935544f6e0214c43d533d9e8b75ed",
+        },
+    ),
+    (
+        Scenario(
+            n0=PINNED_N0,
+            rates=RateSet(1.0, 2.0),
+            mode="product",
+            product_species=Species.PA,
+            seed=32,
+        ),
+        {
+            "pair_id": "86d19ba304ec9de100c371a98e472126",
+            "time": "68dd646346519b5780e09e2ff9105e7f",
+            "species": "9fbf2edcedf8d112042073980d621e18",
+            "side": "12bad488dbff490c4dead9b3f4134a73",
+            "order": "94cdf48deff9ada953fa4e849387d9ca",
+        },
+        {
+            "n": "98baef3b6c48e5aa8a67d1acd626ceff",
+            "n_or": "5f6df6002bc71ca2d81a7492de37025d",
+            "n_pa": "5f6df6002bc71ca2d81a7492de37025d",
+            "N_or": "5f6df6002bc71ca2d81a7492de37025d",
+            "N_pa": "abe523a39e9e2ecd89e834521db2eb9d",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("scenario, columns, fields", PINNED, ids=["entangled", "product_pa"])
+def test_simulate_matches_pinned_digests(scenario, columns, fields):
+    stream, curve = simulate(scenario)
+    assert {c: _digest(getattr(stream, c)) for c in COLUMNS} == columns
+    assert {f: _digest(getattr(curve, f)) for f in fields} == fields
+
+
+# ---------------------------------------------------------------------------
+# histogram on sorted and unsorted streams
+
+CURVE_FIELDS = ("n", "n_or", "n_pa", "N_or", "N_pa")
+GRID_POINTS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+
+
+@st.composite
+def histogram_cases(draw):
+    # times on or between the grid points, zero included, ties within and
+    # across pairs; a pair may have no second emission and any species, so
+    # some categories stay empty
+    mode = draw(st.sampled_from(["entangled", "product"]))
+    n = draw(st.integers(0, 25))
+    times = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.25, 3.0, 4.0])
+    t1 = np.array(draw(st.lists(times, min_size=n, max_size=n)))
+    species_1 = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), np.uint8)
+    side_1 = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), np.uint8)
+    ids = np.arange(n)
+    if mode == "entangled":
+        delay = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n)))
+        kept = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        columns = (
+            np.concatenate([ids, ids[kept]]),
+            np.concatenate([t1, (t1 + delay)[kept]]),
+            np.concatenate([species_1, species_1[kept] ^ 1]),
+            np.concatenate([side_1, side_1[kept] ^ 1]),
+            np.repeat(np.array([FIRST_CODE, SECOND_CODE], np.uint8), [n, kept.sum()]),
+        )
+    else:
+        columns = (ids, t1, species_1, side_1, np.full(n, FIRST_CODE, np.uint8))
+    stream = EventStream(*columns)
+    perm = np.array(draw(st.permutations(range(len(stream)))), dtype=np.intp)
+    grid = sorted(draw(st.sets(st.sampled_from(GRID_POINTS[1:]), max_size=5)))
+    n0 = n + draw(st.integers(0, 3)) or 1
+    return mode, stream, perm, np.array([0.0, *grid]), n0
+
+
+@settings(max_examples=300, deadline=None)
+@given(histogram_cases())
+def test_histogram_sorted_and_shuffled_streams_agree(case):
+    mode, stream, perm, grid, n0 = case
+    by_time = stream.sorted_by_time()
+    shuffled = EventStream(*(getattr(by_time, c)[perm] for c in COLUMNS))
+    a = histogram(by_time, grid, n0, mode=mode)
+    b = histogram(shuffled, grid, n0, mode=mode)
+    for f in CURVE_FIELDS:
+        np.testing.assert_array_equal(getattr(a, f), getattr(b, f))
+        assert getattr(a, f).dtype == np.int64
+    # photon counts straight from their definition
+    at_or_before = stream.time[:, None] <= grid
+    for f, code in (("N_or", OR_CODE), ("N_pa", PA_CODE)):
+        want = np.count_nonzero(at_or_before & (stream.species == code)[:, None], axis=0)
+        np.testing.assert_array_equal(getattr(a, f), want)
