@@ -134,13 +134,15 @@ def classify(events: EventStream, grid, n0: int) -> ClassifiedCounts:
     n0 = _positive_n0(n0)
     grid = np.asarray(grid, dtype=float)
     pid = events.pair_id
-    if pid.size and (pid.min() < 0 or pid.max() >= n0):
+    n_ids = int(pid.max()) + 1 if pid.size else 0
+    if pid.size and (pid.min() < 0 or n_ids > n0):
         raise DataError("pair ids must lie in [0, n0)")
     first = events.order == FIRST_CODE
     second = events.order == SECOND_CODE
     r1, r2 = np.flatnonzero(first), np.flatnonzero(second)
-    # each pair's first-emission row, -1 where it has none
-    first_row = np.full(n0, -1, dtype=np.intp)
+    # each pair's first-emission row, -1 where it has none; sized by the
+    # stream, not by n0, so a short stream needs no n0-long scratch array
+    first_row = np.full(n_ids, -1, dtype=np.intp)
     first_row[pid[r1]] = r1
     if np.count_nonzero(first_row >= 0) != r1.size:
         raise DataError("a pair carries two first emissions")
@@ -240,7 +242,8 @@ def estimate_rates(
     if not events.has_identities:
         raise UnclassifiableError("rate estimation needs pair identities")
     n0 = _positive_n0(n0)
-    if events.pair_id.size and events.pair_id.max() >= n0:
+    n_ids = int(events.pair_id.max()) + 1 if events.pair_id.size else 0
+    if n_ids > n0:
         raise DataError("pair ids must lie in [0, n0)")
     first = events.order == FIRST_CODE
     n_pairs = int(np.count_nonzero(first))
@@ -253,7 +256,7 @@ def estimate_rates(
     if total <= 0.0:
         raise DataError("first-emission times sum to zero")
     gamma_t_est = n_pairs / total
-    t1_by_pair = np.full(n0, np.nan)
+    t1_by_pair = np.full(n_ids, np.nan)
     t1_by_pair[events.pair_id[first]] = first_times
     if np.count_nonzero(~np.isnan(t1_by_pair)) != n_pairs:
         raise DataError("a pair carries two first emissions")

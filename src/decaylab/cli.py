@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import chain
 from pathlib import Path
 
@@ -77,11 +77,15 @@ _EVENT_SUFFIXES = np.array(
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one invocation does: scenario, stages, outputs, knobs."""
+    """Everything one invocation does: scenario, stages, outputs, knobs.
+
+    Each check names the field it failed first, as RateSet's and Scenario's
+    do, so parse_config can point the error at the line that set the field.
+    """
 
     scenario: Scenario
-    outdir: Path
-    emit: frozenset[str]
+    outdir: Path = Path("out")
+    emit: frozenset[str] = frozenset(("analytic", "lifetimes"))
     lifetime_tol: float | None = None
     detection_threshold: float | None = None
     detection_min_pairs: int = MIN_PAIRS_DEFAULT
@@ -93,10 +97,10 @@ class RunConfig:
             raise ConfigError("emit must name at least one stage")
         unknown = emit - set(STAGES)
         if unknown:
-            raise ConfigError(f"unknown emit stages: {sorted(unknown)}")
+            raise ConfigError(f"emit names unknown stages: {sorted(unknown)}")
         object.__setattr__(self, "emit", emit)
         if "reconstruction" in emit and not self.scenario.is_entangled:
-            raise ConfigError("reconstruction requires mode=entangled")
+            raise ConfigError("emit includes reconstruction, which requires mode=entangled")
         if self.detection_min_pairs < 1:
             raise ConfigError("detection_min_pairs must be >= 1")
         for name in ("lifetime_tol", "detection_threshold"):
@@ -126,51 +130,52 @@ def format_complex(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
-def _parse_bool(value: str, key: str, line_no: int) -> bool:
-    lowered = value.lower()
+def _parse_int(text: str) -> int:
+    return int(text, 0)
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
     if lowered in ("true", "yes", "1", "on"):
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"line {line_no}: {key} must be a boolean, got {value!r}")
+    raise ValueError(text)
 
 
-def _parse_int(value: str, key: str, line_no: int) -> int:
-    try:
-        return int(value, 0)
-    except ValueError:
-        raise ConfigError(f"line {line_no}: {key} must be an integer, got {value!r}") from None
+def _parse_mode(text: str) -> tuple[str, Species | None]:
+    """(mode, product_species) of 'entangled', 'product:or' or 'product:pa'."""
+    lowered = text.lower()
+    if lowered == ENTANGLED:
+        return ENTANGLED, None
+    if lowered in (f"{PRODUCT}:or", f"{PRODUCT}:pa"):
+        return PRODUCT, Species(lowered.split(":", 1)[1])
+    raise ValueError(text)
 
 
-def _parse_float(value: str, key: str, line_no: int) -> float:
-    try:
-        out = float(value)
-    except ValueError:
-        raise ConfigError(f"line {line_no}: {key} must be a number, got {value!r}") from None
-    if not math.isfinite(out):
-        raise ConfigError(f"line {line_no}: {key} must be finite")
-    return out
+def _parse_emit(text: str) -> frozenset[str]:
+    return frozenset(name.strip() for name in text.split(",") if name.strip())
 
 
-_KEYS = frozenset(
-    {
-        "n0",
-        "gamma_or",
-        "gamma_pa",
-        "w_or",
-        "w_pa",
-        "mode",
-        "t_max",
-        "grid_points",
-        "seed",
-        "parallel",
-        "emit",
-        "out",
-        "lifetime_tol",
-        "detection_threshold",
-        "detection_min_pairs",
-    }
-)
+# key -> (parser from text, what the parser accepts, owner of the value).  The
+# parsers only read text; every range rule lives in the owner's __post_init__.
+_KEYS = {
+    "n0": (_parse_int, "an integer", Scenario),
+    "gamma_or": (float, "a number", RateSet),
+    "gamma_pa": (float, "a number", RateSet),
+    "w_or": (parse_complex, "a finite complex number a+bi", RateSet),
+    "w_pa": (parse_complex, "a finite complex number a+bi", RateSet),
+    "mode": (_parse_mode, "'entangled', 'product:or', or 'product:pa'", Scenario),
+    "t_max": (float, "a number", Scenario),
+    "grid_points": (_parse_int, "an integer", Scenario),
+    "seed": (_parse_int, "an integer", Scenario),
+    "parallel": (_parse_bool, "a boolean", Scenario),
+    "emit": (_parse_emit, "a comma-separated list of stages", RunConfig),
+    "out": (Path, "a path", RunConfig),
+    "lifetime_tol": (float, "a number", RunConfig),
+    "detection_threshold": (float, "a number", RunConfig),
+    "detection_min_pairs": (_parse_int, "an integer", RunConfig),
+}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -179,7 +184,8 @@ def parse_config(text: str) -> RunConfig:
     '#' starts a comment, blank lines are skipped, later duplicate keys win.
     Required keys: n0, gamma_or, gamma_pa.  Defaults: W = 0, entangled mode,
     t_max of ten slow-species lifetimes, 512 grid points, seed 0, serial,
-    emit analytic and lifetimes, output directory 'out'.
+    emit analytic and lifetimes, output directory 'out'.  An error about a
+    key's value starts with the number of the line that set it.
     """
     raw: dict[str, tuple[str, int]] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -199,132 +205,29 @@ def parse_config(text: str) -> RunConfig:
         if required not in raw:
             raise ConfigError(f"missing required key {required!r}")
 
-    def take(key: str) -> tuple[str, int] | None:
-        return raw.get(key)
-
-    n0_text, n0_line = raw["n0"]
-    n0 = _parse_int(n0_text, "n0", n0_line)
-    if n0 < 1:
-        raise ConfigError(f"line {n0_line}: n0 must be >= 1")
-
-    gammas = {}
-    for key in ("gamma_or", "gamma_pa"):
-        value, line_no = raw[key]
-        gamma = _parse_float(value, key, line_no)
-        if gamma <= 0.0:
-            raise ConfigError(f"line {line_no}: {key} must be > 0")
-        gammas[key] = gamma
-
-    ws = {}
-    for key in ("w_or", "w_pa"):
-        item = take(key)
-        ws[key] = parse_complex(item[0]) if item else 0j
-
-    mode, product_species = ENTANGLED, None
-    item = take("mode")
-    if item:
-        value, line_no = item
-        lowered = value.lower()
-        if lowered == ENTANGLED:
-            pass
-        elif lowered in (f"{PRODUCT}:or", f"{PRODUCT}:pa"):
-            mode = PRODUCT
-            product_species = Species(lowered.split(":", 1)[1])
-        else:
-            raise ConfigError(
-                f"line {line_no}: mode must be 'entangled', 'product:or', or 'product:pa'"
-            )
-
-    t_max = None
-    item = take("t_max")
-    if item:
-        t_max = _parse_float(item[0], "t_max", item[1])
-        if t_max <= 0.0:
-            raise ConfigError(f"line {item[1]}: t_max must be > 0")
-
-    grid_points = 512
-    item = take("grid_points")
-    if item:
-        grid_points = _parse_int(item[0], "grid_points", item[1])
-        if grid_points < 2:
-            raise ConfigError(f"line {item[1]}: grid_points must be >= 2")
-
-    seed = 0
-    item = take("seed")
-    if item:
-        seed = _parse_int(item[0], "seed", item[1])
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"line {item[1]}: seed must fit in an unsigned 64-bit integer")
-
-    parallel = False
-    item = take("parallel")
-    if item:
-        parallel = _parse_bool(item[0], "parallel", item[1])
-
-    emit = frozenset(("analytic", "lifetimes"))
-    item = take("emit")
-    if item:
-        names = [name.strip() for name in item[0].split(",") if name.strip()]
-        if not names:
-            raise ConfigError(f"line {item[1]}: emit must name at least one stage")
-        unknown = set(names) - set(STAGES)
-        if unknown:
-            raise ConfigError(f"line {item[1]}: unknown emit stages {sorted(unknown)}")
-        emit = frozenset(names)
-
-    outdir = Path("out")
-    item = take("out")
-    if item:
-        outdir = Path(item[0])
-
-    lifetime_tol = None
-    item = take("lifetime_tol")
-    if item:
-        lifetime_tol = _parse_float(item[0], "lifetime_tol", item[1])
-        if lifetime_tol <= 0.0:
-            raise ConfigError(f"line {item[1]}: lifetime_tol must be > 0")
-
-    detection_threshold = None
-    item = take("detection_threshold")
-    if item:
-        detection_threshold = _parse_float(item[0], "detection_threshold", item[1])
-        if detection_threshold <= 0.0:
-            raise ConfigError(f"line {item[1]}: detection_threshold must be > 0")
-
-    detection_min_pairs = MIN_PAIRS_DEFAULT
-    item = take("detection_min_pairs")
-    if item:
-        detection_min_pairs = _parse_int(item[0], "detection_min_pairs", item[1])
-        if detection_min_pairs < 1:
-            raise ConfigError(f"line {item[1]}: detection_min_pairs must be >= 1")
+    fields: dict[type, dict] = {RateSet: {}, Scenario: {}, RunConfig: {}}
+    for key, (value, line_no) in raw.items():
+        parse, accepts, owner = _KEYS[key]
+        try:
+            fields[owner][key] = parse(value)
+        except ValueError:
+            raise ConfigError(f"line {line_no}: {key} must be {accepts}, got {value!r}") from None
+    scenario = fields[Scenario]
+    if "mode" in scenario:
+        scenario["mode"], scenario["product_species"] = scenario["mode"]
+    run = fields[RunConfig]
+    if "out" in run:
+        run["outdir"] = run.pop("out")
 
     try:
-        rates = RateSet(
-            gamma_or=gammas["gamma_or"],
-            gamma_pa=gammas["gamma_pa"],
-            w_or=ws["w_or"],
-            w_pa=ws["w_pa"],
-        )
-        scenario = Scenario(
-            n0=n0,
-            rates=rates,
-            mode=mode,
-            product_species=product_species,
-            t_max=t_max,
-            grid_points=grid_points,
-            seed=seed,
-            parallel=parallel,
-        )
+        return RunConfig(Scenario(rates=RateSet(**fields[RateSet]), **scenario), **run)
     except DecayLabError as exc:
-        raise ConfigError(str(exc)) from exc
-    return RunConfig(
-        scenario=scenario,
-        outdir=outdir,
-        emit=emit,
-        lifetime_tol=lifetime_tol,
-        detection_threshold=detection_threshold,
-        detection_min_pairs=detection_min_pairs,
-    )
+        # the owners' messages start with the name of the field they reject
+        message = str(exc)
+        key = message.split(" ", 1)[0]
+        if key in raw:
+            message = f"line {raw[key][1]}: {message}"
+        raise ConfigError(message) from exc
 
 
 def _write_rows(path: Path, header: str, row_format: str, n: int, cells) -> None:
@@ -365,11 +268,6 @@ def write_events_csv(path: Path, stream: EventStream) -> None:
         )
 
     _write_rows(path, EVENTS_HEADER, "%d,%.17g%s", len(stream), cells)
-
-
-def _json_float(value: float):
-    value = float(value)
-    return None if math.isnan(value) else value
 
 
 def _complex_block(z: complex) -> dict:
@@ -480,26 +378,19 @@ def _run_stages(config: RunConfig, quiet: bool) -> None:
             threshold=config.detection_threshold,
             min_pairs=config.detection_min_pairs,
         )
-        fitted = None
-        if verdict.fitted_rates is not None:
-            f = verdict.fitted_rates
+        fitted = verdict.fitted_rates
+        if fitted is not None:
+            # a species without second emissions has NaN estimates: JSON null
             fitted = {
-                "gamma_t_est": _json_float(f.gamma_t_est),
-                "gamma_t_se": _json_float(f.gamma_t_se),
-                "n_pairs": f.n_pairs,
-                "gamma_or_est": _json_float(f.gamma_or_est),
-                "gamma_or_se": _json_float(f.gamma_or_se),
-                "n_second_or": f.n_second_or,
-                "gamma_pa_est": _json_float(f.gamma_pa_est),
-                "gamma_pa_se": _json_float(f.gamma_pa_se),
-                "n_second_pa": f.n_second_pa,
+                name: None if isinstance(value, float) and math.isnan(value) else value
+                for name, value in asdict(fitted).items()
             }
         summary["detection"] = {
             "verdict": verdict.verdict.value,
             "statistic": verdict.statistic,
             "threshold": verdict.threshold,
             "reason": verdict.reason,
-            "distances": dict(sorted(verdict.distances.items())),
+            "distances": verdict.distances,
             "fitted_rates": fitted,
         }
         note(
@@ -509,14 +400,7 @@ def _run_stages(config: RunConfig, quiet: bool) -> None:
 
     if "lifetimes" in config.emit:
         report = lifetime_report(rates, tol=config.lifetime_tol)
-        summary["lifetimes"] = {
-            "tau_or": report.tau_or,
-            "tau_pa": report.tau_pa,
-            "tau_tilde_state": report.tau_tilde_state,
-            "tau_tilde_or": report.tau_tilde_or,
-            "tau_tilde_pa": report.tau_tilde_pa,
-            "solver_residual": report.solver_residual,
-        }
+        summary["lifetimes"] = asdict(report)
         note(f"lifetimes: tau_tilde_state = {report.tau_tilde_state:.6g}")
 
     summary["conservation_max_error"] = max(conservation) if conservation else None
@@ -564,11 +448,10 @@ def main(argv=None) -> int:
         if args.out is not None:
             config = replace(config, outdir=Path(args.out))
         if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError("--seed must fit in an unsigned 64-bit integer")
             config = replace(config, scenario=replace(config.scenario, seed=args.seed))
     except DecayLabError as exc:
-        _emit_error(exc)
+        # Scenario rejects a bad --seed with a DomainError; it is a config error
+        _emit_error(ConfigError(str(exc)))
         return 3
     return run(config, quiet=args.quiet)
 

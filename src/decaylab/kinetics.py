@@ -149,6 +149,18 @@ def product_photons(t, h: Species, n0: float, rates: RateSet):
     return _maybe_scalar(n0 * -np.expm1(-rates.gamma(h) * tt), t)
 
 
+def _validate_grid(grid) -> np.ndarray:
+    """grid as a float array: non-empty, 1-d, from t = 0, strictly increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise DomainError("grid must be a non-empty 1-d array")
+    if grid[0] != 0.0:
+        raise DomainError("grid must start at t = 0")
+    if np.any(np.diff(grid) <= 0.0):
+        raise DomainError("grid must be strictly increasing")
+    return grid
+
+
 @dataclass(frozen=True)
 class PopulationCurve:
     """Populations and photon counts tabulated on a time grid.
@@ -167,13 +179,7 @@ class PopulationCurve:
     n0: float
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise DomainError("grid must be a non-empty 1-d array")
-        if grid[0] != 0.0:
-            raise DomainError("grid must start at t = 0")
-        if np.any(np.diff(grid) <= 0.0):
-            raise DomainError("grid must be strictly increasing")
+        grid = _validate_grid(self.grid)
         object.__setattr__(self, "grid", grid)
         for name in ("n", "n_or", "n_pa", "N_or", "N_pa"):
             arr = np.asarray(getattr(self, name))
@@ -189,15 +195,6 @@ class PopulationCurve:
 
     def photons(self, h: Species) -> np.ndarray:
         return self.N_or if h is Species.OR else self.N_pa
-
-
-def _validate_grid(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("grid must be a non-empty 1-d array")
-    if grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
-        raise DomainError("grid must start at 0 and increase strictly")
-    return grid
 
 
 def evaluate_curve(scenario, grid=None) -> PopulationCurve:

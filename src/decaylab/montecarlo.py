@@ -63,13 +63,14 @@ UNKNOWN_PAIR = -1
 _BLOCK = 1 << 16
 _MAX_THREADS = 64
 
-# Peak bytes simulate holds per entangled pair, reached while histogram
-# counts the sorted stream: 17 of draw output (two float64 times and one
-# packed uint8 code), 16 of sort permutation, 38 of sorted rows (two rows of
-# int64 pair id, float64 time and three uint8 codes), 2 of gathered first
-# codes and 8 of histogram temporaries (category codes, one category mask
-# and its ~4 bytes of row positions).  Product mode needs about half.
-# tracemalloc reads 82 at n0 = 1e6.
+# Bytes simulate holds per entangled pair at its peak, reached while
+# _sorted_stream derives the columns: 17 of draw output (two float64 times
+# and one packed uint8 code), 16 of sort permutation, 38 of stream columns
+# (two rows of int64 pair id, float64 time and three uint8 codes), 2 of
+# gathered first codes and 2 of a column temporary, 75 in all.  The draws
+# are freed before histogram, which needs ~46.  tracemalloc reads 75-76 at
+# n0 = 1e6 and up to 83 at 1e5, where the fixed buffers weigh more; 84 keeps
+# ~10% headroom at scale.  Product mode needs about half.
 _PEAK_BYTES_PER_PAIR = 84
 
 
@@ -275,7 +276,7 @@ class Scenario:
             raise DomainError(f"mode must be {ENTANGLED!r} or {PRODUCT!r}")
         if self.mode == PRODUCT:
             if self.product_species is None:
-                raise DomainError("product mode needs product_species")
+                raise DomainError("product_species must be set in product mode")
         elif self.product_species is not None:
             raise DomainError("product_species only applies to product mode")
         t_max = self.t_max
@@ -390,6 +391,28 @@ def _check_memory(n0: int) -> None:
         )
 
 
+def _sorted_stream(times: np.ndarray, codes: np.ndarray, scenario: Scenario) -> EventStream:
+    """The time-ordered stream of simulate's draws, one time per row.
+
+    Rows are in (pair, order) order, so the row tie-break is the lexsort's.
+    The permutation and gathered codes die with this call.
+    """
+    idx, time_col = _time_order(times)
+    if scenario.is_entangled:
+        pair_col = idx >> 1
+        order_col = idx.astype(np.uint8) & 1  # the low bit of the row
+        first = codes[pair_col]
+        # a second emission has the companion species and the opposite side
+        species_col = (first & 1) ^ order_col
+        side_col = (first >> 1) ^ order_col
+    else:
+        pair_col = idx
+        order_col = np.full(idx.size, FIRST_CODE, dtype=np.uint8)
+        species_col = np.full(idx.size, SPECIES_CODE[scenario.product_species], dtype=np.uint8)
+        side_col = codes[idx]
+    return EventStream(pair_col, time_col, species_col, side_col, order_col)
+
+
 def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
     """Run a scenario: every pair's events plus their histogram on the grid.
 
@@ -441,21 +464,9 @@ def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
         for lo, hi in spans:
             fill(lo, hi)
 
-    # rows are in (pair, order) order, so the row tie-break is the lexsort's
-    idx, time_col = _time_order(times.ravel())
-    if scenario.is_entangled:
-        pair_col = idx >> 1
-        order_col = idx.astype(np.uint8) & 1  # the low bit of the row
-        first = codes[pair_col]
-        # a second emission has the companion species and the opposite side
-        species_col = (first & 1) ^ order_col
-        side_col = (first >> 1) ^ order_col
-    else:
-        pair_col = idx
-        order_col = np.full(n0, FIRST_CODE, dtype=np.uint8)
-        species_col = np.full(n0, SPECIES_CODE[scenario.product_species], dtype=np.uint8)
-        side_col = codes[idx]
-    stream = EventStream(pair_col, time_col, species_col, side_col, order_col)
+    stream = _sorted_stream(times.ravel(), codes, scenario)
+    # the stream holds every draw now; free the draws before histogram counts
+    del times, codes
     curve = histogram(stream, scenario.grid(), n0, mode=scenario.mode)
     return stream, curve
 

@@ -57,7 +57,7 @@ class Species(Enum):
 def _require_finite_rate(value: float, name: str) -> float:
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be a finite positive rate, got {value!r}")
+        raise DomainError(f"{name} must be > 0 and finite, got {value!r}")
     return value
 
 

@@ -1,5 +1,7 @@
 """Tests for classification, reconstruction, rate fits, and detection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -459,6 +461,26 @@ def test_pair_ids_beyond_n0_are_data_errors():
         classify(stream, [1.0], n0=3)
     with pytest.raises(DataError):
         detect(stream, 3, RS11, min_pairs=1).fitted_rates
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda stream, n0: classify(stream, [1.0], n0),
+        lambda stream, n0: estimate_rates(stream, n0, min_pairs=1),
+    ],
+    ids=["classify", "estimate_rates"],
+)
+def test_pair_checks_scale_with_the_stream_not_n0(check):
+    # an n0-long scratch array would take 80 MB here
+    stream = _stream([0, 0], [1.0, 2.0], [OR_CODE, PA_CODE], [L_CODE, R_CODE], [0, 1])
+    tracemalloc.start()
+    try:
+        check(stream, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_detect_fits_rates_on_first_read():

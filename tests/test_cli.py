@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -129,6 +131,41 @@ def test_parse_errors_carry_context(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert fragment in str(err.value)
+
+
+# each line sets one key to a value of the right type but out of range
+@pytest.mark.parametrize(
+    "line",
+    [
+        "n0 = 0",
+        "gamma_or = 0",
+        "gamma_pa = -2.5",
+        "gamma_pa = inf",
+        "t_max = -1",
+        "grid_points = 1",
+        "seed = -3",
+        "seed = 18446744073709551616",
+        "emit = plots",
+        "emit = reconstruction",
+        "lifetime_tol = 0",
+        "detection_threshold = nan",
+        "detection_min_pairs = 0",
+    ],
+)
+def test_range_errors_name_the_line_of_their_key(line):
+    text = "# owned ranges\n" + MINIMAL + "mode = product:or\n" + line + "\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    key = line.split(" ", 1)[0]
+    assert str(err.value).startswith(f"line 6: {key} ")
+
+
+def test_readme_config_example_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    keys = {line.split("=", 1)[0].strip() for line in example.splitlines() if "=" in line}
+    assert keys == set(cli._KEYS)
+    parse_config(example)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +483,14 @@ def test_oversized_n0_exits_3_before_allocating(tmp_path, capsys):
 def test_bad_seed_override_exits_3(tmp_path):
     cfg = _write(tmp_path, MINIMAL)
     assert main(["--config", str(cfg), "--seed", "-1", "--quiet"]) == 3
+
+
+def test_seed_override_beyond_64_bits_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, MINIMAL)
+    assert main(["--config", str(cfg), "--seed", str(2**64), "--quiet"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"
 
 
 def test_invalid_thread_env_exits_3(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Tests for the stochastic pair simulator and exact event histograms."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from decaylab.montecarlo import (
     SPECIES_CODE,
     UNKNOWN_CODE,
     UNKNOWN_PAIR,
+    _PEAK_BYTES_PER_PAIR,
     _time_order,
 )
 
@@ -305,6 +307,28 @@ def test_event_stream_sorting_and_access():
 def test_simulate_rejects_n0_beyond_physical_memory():
     with pytest.raises(DomainError, match="physical memory"):
         simulate(Scenario(n0=10**13, rates=RS11))
+
+
+@pytest.mark.parametrize(
+    "rates,mode,species",
+    [
+        (RS11, "entangled", None),
+        (RateSet(1.0, 0.5, w_or=0.3 + 0.2j, w_pa=-0.4), "entangled", None),
+        (RS11, "product", Species.PA),
+    ],
+    ids=["RS11", "W", "product:pa"],
+)
+def test_simulate_peak_memory_within_its_estimate(rates, mode, species):
+    # _check_memory refuses runs by this estimate, so it must not undercount
+    n0 = 10**6
+    scenario = Scenario(n0=n0, rates=rates, mode=mode, product_species=species, seed=4)
+    tracemalloc.start()
+    try:
+        simulate(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n0 * _PEAK_BYTES_PER_PAIR
 
 
 def test_event_stream_rejects_negative_pair_ids():
