@@ -5,123 +5,24 @@ rates.  This package derives those rates, evaluates the closed-form
 population and photon-count curves, cross-checks them with an event-driven
 Monte Carlo simulator, and decides from photon streams alone whether a
 preparation was entangled.
+
+The package exports every name in its modules' ``__all__`` lists.
 """
 
-from .analyzer import (
-    ClassifiedCounts,
-    DetectionVerdict,
-    RateEstimates,
-    Verdict,
-    classify,
-    default_threshold,
-    detect,
-    erase_identities,
-    estimate_rates,
-    product_model_distance,
-    reconstruct,
-)
-from .errors import (
-    ConfigError,
-    DataError,
-    DecayLabError,
-    DomainError,
-    InsufficientDataError,
-    NoDecayError,
-    SolverError,
-    UnclassifiableError,
-)
-from .kinetics import (
-    DEGENERATE_EPS,
-    LifetimeReport,
-    PopulationCurve,
-    conservation_residual,
-    evaluate_curve,
-    lifetime_report,
-    lifetime_species,
-    n_entangled,
-    n_single,
-    photons_emitted,
-    product_photons,
-    product_population,
-    species_survival_fraction,
-)
-from .montecarlo import (
-    DRAWS_PER_PAIR,
-    ENTANGLED,
-    PRODUCT,
-    EmissionOrder,
-    EventStream,
-    PhotonEvent,
-    Scenario,
-    Side,
-    histogram,
-    pair_substream,
-    sample_pair,
-    simulate,
-)
-from .rates import (
-    EntangledRates,
-    RateSet,
-    Species,
-    derive_rates,
-    entangled_rate,
-    lambda_unweighted,
-    relative_modification,
-)
+from . import analyzer, errors, kinetics, montecarlo, rates
+from .analyzer import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .kinetics import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .rates import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ClassifiedCounts",
-    "DetectionVerdict",
-    "RateEstimates",
-    "Verdict",
-    "classify",
-    "default_threshold",
-    "detect",
-    "erase_identities",
-    "estimate_rates",
-    "product_model_distance",
-    "reconstruct",
-    "ConfigError",
-    "DataError",
-    "DecayLabError",
-    "DomainError",
-    "InsufficientDataError",
-    "NoDecayError",
-    "SolverError",
-    "UnclassifiableError",
-    "DEGENERATE_EPS",
-    "LifetimeReport",
-    "PopulationCurve",
-    "conservation_residual",
-    "evaluate_curve",
-    "lifetime_report",
-    "lifetime_species",
-    "n_entangled",
-    "n_single",
-    "photons_emitted",
-    "product_photons",
-    "product_population",
-    "species_survival_fraction",
-    "DRAWS_PER_PAIR",
-    "ENTANGLED",
-    "PRODUCT",
-    "EmissionOrder",
-    "EventStream",
-    "PhotonEvent",
-    "Scenario",
-    "Side",
-    "histogram",
-    "pair_substream",
-    "sample_pair",
-    "simulate",
-    "EntangledRates",
-    "RateSet",
-    "Species",
-    "derive_rates",
-    "entangled_rate",
-    "lambda_unweighted",
-    "relative_modification",
+    *analyzer.__all__,
+    *errors.__all__,
+    *kinetics.__all__,
+    *montecarlo.__all__,
+    *rates.__all__,
 ]

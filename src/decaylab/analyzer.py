@@ -46,7 +46,7 @@ from .errors import (
     InsufficientDataError,
     UnclassifiableError,
 )
-from .kinetics import PopulationCurve
+from .kinetics import PopulationCurve, _check_n0, _positive_n0
 from .montecarlo import (
     FIRST_CODE,
     OR_CODE,
@@ -55,7 +55,6 @@ from .montecarlo import (
     UNKNOWN_CODE,
     UNKNOWN_PAIR,
     EventStream,
-    _positive_n0,
     _sorted,
 )
 from .rates import RateSet, Species
@@ -122,53 +121,66 @@ class ClassifiedCounts:
         return self.n1_pa + self.n2_pa
 
 
-def classify(events: EventStream, grid, n0: int) -> ClassifiedCounts:
-    """Tag and tally every photon by species and emission order.
+def _pair_rows(events: EventStream, n0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First rows, second rows, and each second's delay after its pair's first.
 
-    Requires intact pair identities; validates that no pair emits two firsts
-    or two seconds, that a second always follows a first of the companion
-    species, and that pair ids fit inside [0, n0).
+    The one owner of the pair checks, in this order: intact identities, a
+    positive integer n0, pair ids inside [0, n0), no pair with two firsts or
+    two seconds, a first for every second, of the companion species and not
+    later than the second.  Rows and delays stay in row order.
     """
     if not events.has_identities:
         raise UnclassifiableError("stream has erased pair identities")
     n0 = _positive_n0(n0)
-    grid = np.asarray(grid, dtype=float)
     pid = events.pair_id
     n_ids = int(pid.max()) + 1 if pid.size else 0
-    if pid.size and (pid.min() < 0 or n_ids > n0):
+    if n_ids > n0:
         raise DataError("pair ids must lie in [0, n0)")
-    first = events.order == FIRST_CODE
-    second = events.order == SECOND_CODE
-    r1, r2 = np.flatnonzero(first), np.flatnonzero(second)
+    r1 = np.flatnonzero(events.order == FIRST_CODE)
+    r2 = np.flatnonzero(events.order == SECOND_CODE)
     # each pair's first-emission row, -1 where it has none; sized by the
     # stream, not by n0, so a short stream needs no n0-long scratch array
     first_row = np.full(n_ids, -1, dtype=np.intp)
     first_row[pid[r1]] = r1
     if np.count_nonzero(first_row >= 0) != r1.size:
         raise DataError("a pair carries two first emissions")
-    if r2.size and np.bincount(pid[r2]).max() > 1:
+    pid2 = pid[r2]
+    if pid2.size and np.bincount(pid2).max() > 1:
         raise DataError("a pair carries two second emissions")
-    j = first_row[pid[r2]]
+    j = first_row[pid2]
     if np.any(j < 0):
         raise DataError("a second emission has no matching first")
     if np.any(events.species[r2] == events.species[j]):
         raise DataError("a pair emitted the same species twice")
-    if np.any(events.time[r2] < events.time[j]):
+    delays = events.time[r2] - events.time[j]
+    if np.any(delays < 0.0):
         raise DataError("a second emission precedes its first")
+    return r1, r2, delays
 
+
+def classify(events: EventStream, grid, n0: int) -> ClassifiedCounts:
+    """Tag and tally every photon by species and emission order.
+
+    Runs the pair checks shared with estimate_rates: identities must be
+    intact, pair ids must fit inside [0, n0), no pair may emit two firsts or
+    two seconds, and a second must follow a first of the companion species.
+    """
+    r1, r2, _ = _pair_rows(events, n0)
+    grid = np.asarray(grid, dtype=float)
     is_or = events.species == OR_CODE
 
-    def cumulative(mask: np.ndarray) -> np.ndarray:
-        return np.searchsorted(_sorted(events.time[mask]), grid, side="right").astype(
+    def cumulative(rows: np.ndarray) -> np.ndarray:
+        return np.searchsorted(_sorted(events.time[rows]), grid, side="right").astype(
             np.int64
         )
 
+    or1, or2 = is_or[r1], is_or[r2]
     return ClassifiedCounts(
         grid=grid,
-        n1_or=cumulative(first & is_or),
-        n1_pa=cumulative(first & ~is_or),
-        n2_or=cumulative(second & is_or),
-        n2_pa=cumulative(second & ~is_or),
+        n1_or=cumulative(r1[or1]),
+        n1_pa=cumulative(r1[~or1]),
+        n2_or=cumulative(r2[or2]),
+        n2_pa=cumulative(r2[~or2]),
         n0=n0,
     )
 
@@ -238,43 +250,28 @@ class RateEstimates:
 def estimate_rates(
     events: EventStream, n0: int, min_pairs: int = MIN_PAIRS_DEFAULT
 ) -> RateEstimates:
-    """Estimate the disentangling and free rates from one stream."""
-    if not events.has_identities:
-        raise UnclassifiableError("rate estimation needs pair identities")
-    n0 = _positive_n0(n0)
-    n_ids = int(events.pair_id.max()) + 1 if events.pair_id.size else 0
-    if n_ids > n0:
-        raise DataError("pair ids must lie in [0, n0)")
-    first = events.order == FIRST_CODE
-    n_pairs = int(np.count_nonzero(first))
+    """Estimate the disentangling and free rates from one stream.
+
+    Runs classify's pair checks first, so it rejects exactly the streams
+    that classify rejects, with the same errors.
+    """
+    r1, r2, delays = _pair_rows(events, n0)
+    n_pairs = r1.size
     if n_pairs < min_pairs:
         raise InsufficientDataError(
             f"{n_pairs} first emissions, need at least {min_pairs}"
         )
-    first_times = events.time[first]
-    total = float(first_times.sum())
+    total = float(events.time[r1].sum())
     if total <= 0.0:
         raise DataError("first-emission times sum to zero")
     gamma_t_est = n_pairs / total
-    t1_by_pair = np.full(n_ids, np.nan)
-    t1_by_pair[events.pair_id[first]] = first_times
-    if np.count_nonzero(~np.isnan(t1_by_pair)) != n_pairs:
-        raise DataError("a pair carries two first emissions")
-    r2 = np.flatnonzero(events.order == SECOND_CODE)
-    pid2 = events.pair_id[r2]
-    if pid2.size and np.bincount(pid2).max() > 1:
-        raise DataError("a pair carries two second emissions")
-    # gaps stay in row order, so each species' sum is that of its own rows
-    gaps = events.time[r2] - t1_by_pair[pid2]
-    if np.any(~np.isfinite(gaps)) or np.any(gaps < 0.0):
-        raise DataError("second emissions without consistent firsts")
     is_or = events.species[r2] == OR_CODE
 
     def species_fit(mask: np.ndarray, name: str) -> tuple[float, float, int]:
         k = int(np.count_nonzero(mask))
         if k == 0:
             return math.nan, math.nan, 0
-        total = float(gaps[mask].sum())
+        total = float(delays[mask].sum())
         if total <= 0.0:
             raise DataError(f"{name} second-emission delays sum to zero")
         rate = k / total
@@ -333,9 +330,7 @@ class DetectionVerdict:
 
 def default_threshold(n0: float) -> float:
     """Detection threshold 3 * 1.36 / sqrt(n0)."""
-    if n0 <= 0:
-        raise DomainError("n0 must be positive")
-    return THRESHOLD_SAFETY * KS_COEFF / math.sqrt(n0)
+    return THRESHOLD_SAFETY * KS_COEFF / math.sqrt(_check_n0(n0))
 
 
 def _stream_distance(sorted_times: np.ndarray, n0: float, gamma: float) -> float:
@@ -363,15 +358,13 @@ def _grid_distance(grid: np.ndarray, photons: np.ndarray, n0: float, gamma: floa
     return float(np.max(np.abs(photons / n0 - model)))
 
 
-def _species_photons(source, h: Species):
-    """(kind, payload) where payload is sorted times or (grid, counts)."""
+def _species_photons(source, h: Species) -> np.ndarray:
+    """Species-h photon record: a stream's sorted photon times, or a gridded
+    source's cumulative photon counts on source.grid."""
     if isinstance(source, EventStream):
-        code = SPECIES_CODE[h]
-        return "stream", _sorted(source.time[source.species == code])
-    if isinstance(source, ClassifiedCounts):
-        return "grid", (source.grid, source.photons(h))
-    if isinstance(source, PopulationCurve):
-        return "grid", (source.grid, source.photons(h))
+        return _sorted(source.time[source.species == SPECIES_CODE[h]])
+    if isinstance(source, (ClassifiedCounts, PopulationCurve)):
+        return source.photons(h)
     raise DomainError(
         "source must be an EventStream, ClassifiedCounts, or PopulationCurve"
     )
@@ -384,21 +377,19 @@ def product_model_distance(source, n0: float, h: Species, gamma: float) -> float
     For streams the supremum is exact; for gridded sources it is taken over
     the grid points.
     """
-    if n0 <= 0:
-        raise DomainError("n0 must be positive")
+    _check_n0(n0)
     if gamma <= 0:
         raise DomainError("gamma must be positive")
-    kind, payload = _species_photons(source, h)
-    if kind == "stream":
-        return _stream_distance(payload, n0, gamma)
-    grid, photons = payload
-    return _grid_distance(grid, np.asarray(photons, dtype=float), n0, gamma)
+    photons = _species_photons(source, h)
+    if isinstance(source, EventStream):
+        return _stream_distance(photons, n0, gamma)
+    return _grid_distance(source.grid, np.asarray(photons, dtype=float), n0, gamma)
 
 
 def _companion_mass(source, h: Species, n0: float) -> float:
     if isinstance(source, EventStream):
         return int(np.count_nonzero(source.species == SPECIES_CODE[h])) / n0
-    _, (_, photons) = _species_photons(source, h)
+    photons = _species_photons(source, h)
     return float(np.max(photons)) / n0 if len(photons) else 0.0
 
 
@@ -417,8 +408,7 @@ def detect(
     1.2 * threshold, Product below 0.8 * threshold, and Inconclusive inside
     the band or when fewer than min_pairs pairs were prepared.
     """
-    if n0 < 1:
-        raise DomainError("n0 must be at least 1")
+    _check_n0(n0)
     if threshold is None:
         threshold = default_threshold(n0)
     if not (threshold > 0.0 and math.isfinite(threshold)):

@@ -1,5 +1,16 @@
 """Exception hierarchy shared by all decaylab modules."""
 
+__all__ = [
+    "DecayLabError",
+    "DomainError",
+    "NoDecayError",
+    "SolverError",
+    "DataError",
+    "UnclassifiableError",
+    "InsufficientDataError",
+    "ConfigError",
+]
+
 
 class DecayLabError(Exception):
     """Base class for every error raised by this package."""

@@ -81,10 +81,18 @@ def _as_times(t) -> np.ndarray:
 
 
 def _check_n0(n0: float) -> float:
+    """n0 as a float; the rule for expected (real-valued) populations."""
     n0 = float(n0)
     if not math.isfinite(n0) or n0 <= 0.0:
         raise DomainError(f"n0 must be a finite positive count, got {n0!r}")
     return n0
+
+
+def _positive_n0(n0) -> int:
+    """n0 as an int; the rule for counted pairs (bool is not a count)."""
+    if not isinstance(n0, (int, np.integer)) or isinstance(n0, bool) or n0 < 1:
+        raise DomainError("n0 must be a positive integer")
+    return int(n0)
 
 
 def _maybe_scalar(values: np.ndarray, t) -> np.ndarray | float:
@@ -309,8 +317,6 @@ class LifetimeReport:
 def lifetime_report(rates: RateSet, tol: float | None = None) -> LifetimeReport:
     """Collect every lifetime of a preparation in one report."""
     er = derive_rates(rates)
-    if er.gamma_t <= 0.0:
-        raise DomainError("gamma_t must be positive for finite lifetimes")
     tau_or = lifetime_species(Species.OR, rates, er, tol)
     tau_pa = lifetime_species(Species.PA, rates, er, tol)
     target = math.exp(-1.0)

@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, NoDecayError
-from .kinetics import PopulationCurve
+from .kinetics import PopulationCurve, _positive_n0
 from .rates import EntangledRates, RateSet, Species, derive_rates
 
 __all__ = [
@@ -237,14 +237,14 @@ def _sorted(t: np.ndarray) -> np.ndarray:
     return np.sort(t)
 
 
-def _positive_n0(n0) -> int:
-    if not isinstance(n0, (int, np.integer)) or n0 < 1:
-        raise DomainError("n0 must be a positive integer")
-    return int(n0)
-
-
 def _default_t_max(rates: RateSet) -> float:
-    return 10.0 / min(rates.gamma_or, rates.gamma_pa)
+    """Ten lifetimes of the slower species; a DomainError naming its rate
+    field when they overflow."""
+    name = "gamma_or" if rates.gamma_or <= rates.gamma_pa else "gamma_pa"
+    t_max = 10.0 / getattr(rates, name)
+    if math.isinf(t_max):
+        raise DomainError(f"{name} is too small: the default t_max = 10 / {name} overflows")
+    return t_max
 
 
 @dataclass(frozen=True)
@@ -267,11 +267,7 @@ class Scenario:
     parallel: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n0, (int, np.integer)) or isinstance(self.n0, bool):
-            raise DomainError("n0 must be an integer")
-        if self.n0 < 1:
-            raise DomainError("n0 must be >= 1")
-        object.__setattr__(self, "n0", int(self.n0))
+        object.__setattr__(self, "n0", _positive_n0(self.n0))
         if self.mode not in (ENTANGLED, PRODUCT):
             raise DomainError(f"mode must be {ENTANGLED!r} or {PRODUCT!r}")
         if self.mode == PRODUCT:

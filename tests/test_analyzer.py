@@ -185,6 +185,39 @@ def test_classify_pair_checks_match_reference(case):
         assert str(err.value) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(small_streams())
+def test_estimate_rates_pair_checks_match_classify(case):
+    stream, n0 = case
+    want = _pair_check_reference(stream, n0)
+    if want is None:
+        try:
+            estimate_rates(stream, n0, min_pairs=0)
+        except DataError as exc:
+            # a sound stream may still be too short or too quick to fit
+            assert isinstance(exc, InsufficientDataError) or "sum to zero" in str(exc)
+    else:
+        with pytest.raises(DataError) as err:
+            estimate_rates(stream, n0, min_pairs=0)
+        assert str(err.value) == want
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda stream: classify(stream, [1.0], True),
+        lambda stream: estimate_rates(stream, True, min_pairs=1),
+        lambda stream: histogram(stream, [0.0, 1.0], True),
+        lambda stream: ClassifiedCounts(np.array([1.0]), *[np.zeros(1, np.int64)] * 4, True),
+        lambda stream: Scenario(n0=True, rates=RS11),
+    ],
+    ids=["classify", "estimate_rates", "histogram", "ClassifiedCounts", "Scenario"],
+)
+def test_bool_n0_is_rejected(call):
+    with pytest.raises(DomainError):
+        call(_hand_stream())
+
+
 def test_classified_counts_validation():
     grid = np.array([0.5, 1.5])
     zeros = np.zeros(2, dtype=np.int64)

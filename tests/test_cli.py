@@ -160,6 +160,24 @@ def test_range_errors_name_the_line_of_their_key(line):
     assert str(err.value).startswith(f"line 6: {key} ")
 
 
+@pytest.mark.parametrize("slow", ["gamma_or", "gamma_pa"])
+def test_default_t_max_overflow_names_the_slow_rate(slow):
+    # ten lifetimes of a 1e-320 rate overflow a float, though t_max is unset
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + f"{slow} = 1e-320\n")
+    assert str(err.value).startswith(f"line 4: {slow} ")
+
+
+def test_default_t_max_overflow_exits_3(tmp_path, capsys):
+    code, _ = _run(tmp_path, MINIMAL + "gamma_or = 1e-320\n")
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("line 4: gamma_or ")
+
+
 def test_readme_config_example_lists_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
