@@ -83,6 +83,9 @@ MIN_PAIRS_DEFAULT = 100
 KS_COEFF = 1.36
 THRESHOLD_SAFETY = 3.0
 
+# sorted times per _stream_distance block: 256 KB per float64 buffer
+_DISTANCE_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class ClassifiedCounts:
@@ -139,20 +142,21 @@ def _pair_rows(events: EventStream, n0: int) -> tuple[np.ndarray, np.ndarray, np
     r1 = np.flatnonzero(events.order == FIRST_CODE)
     r2 = np.flatnonzero(events.order == SECOND_CODE)
     # each pair's first-emission row, -1 where it has none; sized by the
-    # stream, not by n0, so a short stream needs no n0-long scratch array
-    first_row = np.full(n_ids, -1, dtype=np.intp)
-    first_row[pid[r1]] = r1
+    # stream, not by n0, so a short stream needs no n0-long scratch array,
+    # and int32 while rows fit, which halves the scatter's and gather's bytes
+    first_row = np.full(n_ids, -1, dtype=np.int32 if pid.size < 2**31 else np.intp)
+    first_row[pid.take(r1)] = r1
     if np.count_nonzero(first_row >= 0) != r1.size:
         raise DataError("a pair carries two first emissions")
-    pid2 = pid[r2]
+    pid2 = pid.take(r2)
     if pid2.size and np.bincount(pid2).max() > 1:
         raise DataError("a pair carries two second emissions")
-    j = first_row[pid2]
+    j = first_row.take(pid2)
     if np.any(j < 0):
         raise DataError("a second emission has no matching first")
-    if np.any(events.species[r2] == events.species[j]):
+    if np.any(events.species.take(r2) == events.species.take(j)):
         raise DataError("a pair emitted the same species twice")
-    delays = events.time[r2] - events.time[j]
+    delays = events.time.take(r2) - events.time.take(j)
     if np.any(delays < 0.0):
         raise DataError("a second emission precedes its first")
     return r1, r2, delays
@@ -167,20 +171,22 @@ def classify(events: EventStream, grid, n0: int) -> ClassifiedCounts:
     """
     r1, r2, _ = _pair_rows(events, n0)
     grid = np.asarray(grid, dtype=float)
-    is_or = events.species == OR_CODE
 
     def cumulative(rows: np.ndarray) -> np.ndarray:
-        return np.searchsorted(_sorted(events.time[rows]), grid, side="right").astype(
+        return np.searchsorted(_sorted(events.time.take(rows)), grid, side="right").astype(
             np.int64
         )
 
-    or1, or2 = is_or[r1], is_or[r2]
+    # np.compress, not rows[mask]: numpy's boolean-mask gather is ~3x slower
+    # on a random 50/50 mask, and compress keeps the same rows in order
+    or1 = events.species.take(r1) == OR_CODE
+    or2 = events.species.take(r2) == OR_CODE
     return ClassifiedCounts(
         grid=grid,
-        n1_or=cumulative(r1[or1]),
-        n1_pa=cumulative(r1[~or1]),
-        n2_or=cumulative(r2[or2]),
-        n2_pa=cumulative(r2[~or2]),
+        n1_or=cumulative(np.compress(or1, r1)),
+        n1_pa=cumulative(np.compress(~or1, r1)),
+        n2_or=cumulative(np.compress(or2, r2)),
+        n2_pa=cumulative(np.compress(~or2, r2)),
         n0=n0,
     )
 
@@ -261,17 +267,19 @@ def estimate_rates(
         raise InsufficientDataError(
             f"{n_pairs} first emissions, need at least {min_pairs}"
         )
-    total = float(events.time[r1].sum())
+    total = float(events.time.take(r1).sum())
     if total <= 0.0:
         raise DataError("first-emission times sum to zero")
     gamma_t_est = n_pairs / total
-    is_or = events.species[r2] == OR_CODE
+    is_or = events.species.take(r2) == OR_CODE
 
     def species_fit(mask: np.ndarray, name: str) -> tuple[float, float, int]:
         k = int(np.count_nonzero(mask))
         if k == 0:
             return math.nan, math.nan, 0
-        total = float(delays[mask].sum())
+        # np.compress, not delays[mask]: the same delays in the same order,
+        # so the same sum, without the slow boolean-mask gather
+        total = float(np.compress(mask, delays).sum())
         if total <= 0.0:
             raise DataError(f"{name} second-emission delays sum to zero")
         rate = k / total
@@ -335,21 +343,32 @@ def default_threshold(n0: float) -> float:
 
 def _stream_distance(sorted_times: np.ndarray, n0: float, gamma: float) -> float:
     # sup over t of |count(<= t)/n0 - (1 - exp(-gamma t))|, evaluated at the
-    # jump points from both sides plus the t -> infinity tail
+    # jump points from both sides plus the t -> infinity tail.  Blocks of
+    # _DISTANCE_BLOCK times run the same ufuncs in reused cache-sized
+    # buffers; max and min are exact, so blocking changes no bit
     k = sorted_times.size
     tail = abs(k / n0 - 1.0)
     if k == 0:
         return tail
-    model = np.multiply(sorted_times, -gamma)
-    np.expm1(model, out=model)
-    np.negative(model, out=model)
-    # levels[j] = j / n0, the count fraction between jumps j - 1 and j
-    levels = np.arange(k + 1, dtype=float)
-    levels /= n0
-    gap = np.subtract(model, levels[:-1])
-    before = max(abs(gap.max()), abs(gap.min()))
-    np.subtract(levels[1:], model, out=gap)
-    after = max(abs(gap.max()), abs(gap.min()))
+    size = min(k, _DISTANCE_BLOCK)
+    model = np.empty(size)
+    gap = np.empty(size)
+    # np.maximum keeps a NaN gap, as one max over all gaps would; a Python
+    # 0.0 seed would also turn an all-zero distance into a float
+    before = after = np.float64(0.0)
+    for lo in range(0, k, size):
+        hi = min(lo + size, k)
+        m, g = model[: hi - lo], gap[: hi - lo]
+        np.multiply(sorted_times[lo:hi], -gamma, out=m)
+        np.expm1(m, out=m)
+        np.negative(m, out=m)
+        # levels[j] = (lo + j) / n0, the count fraction between jumps
+        levels = np.arange(lo, hi + 1, dtype=float)
+        levels /= n0
+        np.subtract(m, levels[:-1], out=g)
+        before = np.maximum(before, max(abs(g.max()), abs(g.min())))
+        np.subtract(levels[1:], m, out=g)
+        after = np.maximum(after, max(abs(g.max()), abs(g.min())))
     return max(before, after, tail)
 
 
@@ -362,7 +381,9 @@ def _species_photons(source, h: Species) -> np.ndarray:
     """Species-h photon record: a stream's sorted photon times, or a gridded
     source's cumulative photon counts on source.grid."""
     if isinstance(source, EventStream):
-        return _sorted(source.time[source.species == SPECIES_CODE[h]])
+        # np.compress, not time[mask]: the same times in the same order, ~3x
+        # faster than numpy's boolean-mask gather on a mixed stream
+        return _sorted(np.compress(source.species == SPECIES_CODE[h], source.time))
     if isinstance(source, (ClassifiedCounts, PopulationCurve)):
         return source.photons(h)
     raise DomainError(
@@ -406,9 +427,16 @@ def detect(
     or a PopulationCurve.  reference supplies the calibrated free rates that
     parameterise the product hypotheses.  The verdict is Entangled above
     1.2 * threshold, Product below 0.8 * threshold, and Inconclusive inside
-    the band or when fewer than min_pairs pairs were prepared.
+    the band or when fewer than min_pairs pairs were prepared.  A gridded
+    source takes any finite n0 > 0; a stream counts its pairs, so its n0
+    must be a whole number, which the rate fit then receives exactly.
     """
     _check_n0(n0)
+    fit_args = None
+    if isinstance(source, EventStream):
+        if int(n0) != n0:
+            raise DomainError(f"n0 must be a whole number for a stream source, got {n0!r}")
+        fit_args = (source, int(n0), min_pairs)
     if threshold is None:
         threshold = default_threshold(n0)
     if not (threshold > 0.0 and math.isfinite(threshold)):
@@ -422,8 +450,6 @@ def detect(
         distances[f"mass_{h.companion().value}"] = mass
         distances[f"product_{h.value}"] = max(shape, mass)
     statistic = min(distances["product_or"], distances["product_pa"])
-
-    fit_args = (source, int(n0), min_pairs) if isinstance(source, EventStream) else None
 
     if n0 < min_pairs:
         return DetectionVerdict(

@@ -1,6 +1,7 @@
 """Tests for classification, reconstruction, rate fits, and detection."""
 
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from decaylab import (
     reconstruct,
     simulate,
 )
-from decaylab.analyzer import _stream_distance
+from decaylab.analyzer import _DISTANCE_BLOCK, _stream_distance
 from decaylab.montecarlo import (
     FIRST_CODE,
     L_CODE,
@@ -480,6 +481,152 @@ def test_stream_distance_matches_reference_bits(times, n0, gamma):
     want = _stream_distance_reference(times, n0, gamma)
     assert type(got) is type(want)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize(
+    "k", [0, 1, 2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 7], ids=lambda k: f"k{k}"
+)
+@pytest.mark.parametrize("n0_kind", ["k", "float"])
+def test_stream_distance_matches_reference_across_blocks(k, n0_kind):
+    assert _DISTANCE_BLOCK == 2**15
+    rng = np.random.default_rng(k)
+    # exact ties and zeros at the front, so equal times straddle block edges
+    times = np.sort(np.round(rng.exponential(1.0, k), 3))
+    n0 = max(k, 1) if n0_kind == "k" else 1.7 * k + 0.3
+    for gamma in (0.5, 1.0, 37.0):
+        got = _stream_distance(times, n0, gamma)
+        want = _stream_distance_reference(times, n0, gamma)
+        assert type(got) is type(want)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("k", [2**15 + 1, 3 * 2**15 + 7])
+def test_stream_distance_counts_every_row_at_block_edges(k):
+    # zeros before row p, then times so late that the model is 1: the sup is
+    # the gap 1 - p / n0 at row p, so it moves if a block skips row p
+    n0 = 2.0 * k
+    block = _DISTANCE_BLOCK
+    for p in sorted({1, block - 1, block, block + 1, 2 * block, 3 * block, k - 1} & set(range(1, k))):
+        times = np.zeros(k)
+        times[p:] = 1e3
+        got = _stream_distance(times, n0, 1.0)
+        assert np.float64(got).tobytes() == np.float64(1.0 - p / n0).tobytes()
+        assert np.float64(got).tobytes() == np.float64(
+            _stream_distance_reference(times, n0, 1.0)
+        ).tobytes()
+
+
+def _bits(values) -> list:
+    # floats by their bytes, so NaN matches NaN and -0.0 differs from 0.0
+    return [np.float64(v).tobytes() if isinstance(v, float) else v for v in values]
+
+
+def _detect_reference(stream, n0, rates):
+    """detect's statistic and distances by boolean-mask gathers and one
+    full-length distance per species."""
+    distances = {}
+    for h, gamma in ((Species.OR, rates.gamma_or), (Species.PA, rates.gamma_pa)):
+        code = OR_CODE if h is Species.OR else PA_CODE
+        shape = _stream_distance_reference(np.sort(stream.time[stream.species == code]), n0, gamma)
+        mass = int(np.count_nonzero(stream.species != code)) / n0
+        distances[f"shape_{h.value}"] = shape
+        distances[f"mass_{h.companion().value}"] = mass
+        distances[f"product_{h.value}"] = max(shape, mass)
+    return min(distances["product_or"], distances["product_pa"]), distances
+
+
+def _classify_reference(stream, grid):
+    first, is_or = stream.order == FIRST_CODE, stream.species == OR_CODE
+    second = stream.order == SECOND_CODE
+    masks = (first & is_or, first & ~is_or, second & is_or, second & ~is_or)
+    return [np.searchsorted(np.sort(stream.time[m]), grid, side="right") for m in masks]
+
+
+def _rates_reference(stream, n0):
+    """estimate_rates by an n0-long scatter of first times and mask gathers."""
+    first, second = stream.order == FIRST_CODE, stream.order == SECOND_CODE
+    t1 = np.full(n0, np.nan)
+    t1[stream.pair_id[first]] = stream.time[first]
+    delays = stream.time[second] - t1[stream.pair_id[second]]
+    is_or = stream.species[second] == OR_CODE
+    n_pairs = int(np.count_nonzero(first))
+    gamma_t = n_pairs / float(stream.time[first].sum())
+    fits = []
+    for mask in (is_or, ~is_or):
+        k = int(np.count_nonzero(mask))
+        rate = k / float(delays[mask].sum()) if k else np.nan
+        fits += [rate, rate / np.sqrt(k) if k else np.nan, k]
+    return [gamma_t, gamma_t / np.sqrt(n_pairs), n_pairs, *fits]
+
+
+@pytest.fixture(scope="module")
+def analyzer_streams():
+    # 1e5 pairs put ~1e5 photons in each species: several distance blocks
+    n0 = 100_000
+    rates = RateSet(1.3, 0.7, w_or=0.2 + 0.1j, w_pa=-0.3)
+    entangled = Scenario(n0=n0, rates=rates, seed=71)
+    stream, _ = simulate(entangled)
+    by_side = np.lexsort((stream.time, stream.side))
+    side_ordered = EventStream(
+        *(getattr(stream, c)[by_side] for c in ("pair_id", "time", "species", "side", "order"))
+    )
+    product, _ = simulate(
+        Scenario(n0=n0, rates=rates, mode="product", product_species=Species.PA, seed=72)
+    )
+    streams = {"time_ordered": stream, "side_ordered": side_ordered, "product": product}
+    return n0, rates, entangled.grid(), streams
+
+
+@pytest.mark.parametrize("name", ["time_ordered", "side_ordered", "product", "erased"])
+def test_analyzer_results_match_mask_references(analyzer_streams, name):
+    n0, rates, grid, streams = analyzer_streams
+    if name == "erased":
+        stream = erase_identities(streams["time_ordered"])
+    else:
+        stream = streams[name]
+    verdict = detect(stream, n0, rates)
+    statistic, distances = _detect_reference(stream, n0, rates)
+    assert _bits([verdict.statistic]) == _bits([statistic])
+    assert verdict.distances.keys() == distances.keys()
+    assert _bits(verdict.distances.values()) == _bits(distances.values())
+    if name == "erased":
+        return
+    counts = classify(stream, grid, n0)
+    got = [counts.n1_or, counts.n1_pa, counts.n2_or, counts.n2_pa]
+    for have, want in zip(got, _classify_reference(stream, grid)):
+        assert np.array_equal(have, want)
+    # histogram's unsorted path gathers per category too
+    curve = histogram(stream, grid, n0, mode="product" if name == "product" else "entangled")
+    assert np.array_equal(curve.N_or, counts.n1_or + counts.n2_or)
+    assert np.array_equal(curve.N_pa, counts.n1_pa + counts.n2_pa)
+    want = _bits(_rates_reference(stream, n0))
+    assert _bits(astuple(estimate_rates(stream, n0))) == want
+    assert _bits(astuple(verdict.fitted_rates)) == want
+
+
+def test_detect_stream_n0_must_be_whole():
+    stream, _ = simulate(Scenario(n0=300, rates=RS11, seed=49))
+    # a truncated n0 once reached the fit: 300.7 fitted with 300, and 0.5
+    # gave a verdict whose fitted_rates read failed
+    with pytest.raises(DomainError, match="whole number"):
+        detect(stream, 300.7, RS11, min_pairs=10)
+    with pytest.raises(DomainError, match="whole number"):
+        detect(stream, 0.5, RS11, min_pairs=0)
+    whole = detect(stream, 300.0, RS11, min_pairs=10)
+    assert whole.fit_args[1] == 300 and type(whole.fit_args[1]) is int
+    assert whole.fitted_rates == estimate_rates(stream, 300, 10)
+    assert whole.statistic == detect(stream, 300, RS11, min_pairs=10).statistic
+
+
+def test_detect_gridded_sources_keep_real_n0():
+    sc = Scenario(n0=300, rates=RS11, seed=49, t_max=10.0)
+    stream, curve = simulate(sc)
+    counts = classify(stream, sc.grid(), sc.n0)
+    for source in (curve, counts, evaluate_curve(sc)):
+        for n0 in (300.7, 0.5):
+            verdict = detect(source, n0, RS11, min_pairs=0)
+            assert verdict.fitted_rates is None
+            assert verdict.threshold == default_threshold(n0)
 
 
 def test_default_threshold_value():

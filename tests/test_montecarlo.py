@@ -1,6 +1,7 @@
 """Tests for the stochastic pair simulator and exact event histograms."""
 
 import hashlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,7 @@ from decaylab.montecarlo import (
     UNKNOWN_CODE,
     UNKNOWN_PAIR,
     _PEAK_BYTES_PER_PAIR,
+    _memory_bytes,
     _time_order,
 )
 
@@ -307,6 +309,58 @@ def test_event_stream_sorting_and_access():
 def test_simulate_rejects_n0_beyond_physical_memory():
     with pytest.raises(DomainError, match="physical memory"):
         simulate(Scenario(n0=10**13, rates=RS11))
+
+
+PHYSICAL = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+V1_UNLIMITED = "9223372036854771712"  # LONG_MAX rounded down to a 4 KiB page
+
+
+@pytest.mark.parametrize(
+    "proc,files,want",
+    [
+        ("0::/box\n", {"box/memory.max": "1048576\n"}, 2**20),
+        ("0::/\n", {"memory.max": "2097152\n"}, 2**21),
+        ("0::/box\n", {"box/memory.max": "max\n"}, PHYSICAL),
+        ("4:memory:/box\n0::/\n", {"memory/box/memory.limit_in_bytes": "3145728\n"}, 3 * 2**20),
+        ("3:cpu,memory:/a/b\n", {"memory/a/b/memory.limit_in_bytes": "4194304"}, 4 * 2**20),
+        ("4:memory:/box\n", {"memory/box/memory.limit_in_bytes": V1_UNLIMITED}, PHYSICAL),
+        ("0::/box\n", {"box/memory.max": str(PHYSICAL + 4096)}, PHYSICAL),
+        ("0::/box\n", {"box/memory.max": "garbled"}, PHYSICAL),
+        ("0::/box\n", {}, PHYSICAL),
+        ("2:cpu:/box\n1:name=systemd:/\n", {"memory.max": "1048576"}, PHYSICAL),
+        (None, {"memory.max": "1048576"}, PHYSICAL),
+    ],
+    ids=[
+        "v2",
+        "v2-root",
+        "v2-max",
+        "v1-hybrid",
+        "v1-joint-controllers",
+        "v1-unlimited",
+        "above-physical",
+        "garbled",
+        "unreadable",
+        "no-memory-line",
+        "no-proc-file",
+    ],
+)
+def test_memory_bytes_reads_the_cgroup_limit(tmp_path, proc, files, want):
+    proc_cgroup = tmp_path / "cgroup"
+    if proc is not None:
+        proc_cgroup.write_text(proc)
+    root = tmp_path / "fs"
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    assert _memory_bytes(str(proc_cgroup), str(root)) == want
+
+
+def test_simulate_rejects_n0_beyond_the_cgroup_limit(monkeypatch):
+    assert _memory_bytes() <= PHYSICAL
+    monkeypatch.setattr("decaylab.montecarlo._memory_bytes", lambda: 2**20)
+    with pytest.raises(DomainError, match="cgroup limit"):
+        simulate(Scenario(n0=100_000, rates=RS11))
+    simulate(Scenario(n0=10_000, rates=RS11))
 
 
 @pytest.mark.parametrize(
