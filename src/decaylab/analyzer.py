@@ -124,21 +124,36 @@ class ClassifiedCounts:
         return self.n1_pa + self.n2_pa
 
 
-def _pair_rows(events: EventStream, n0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First rows, second rows, and each second's delay after its pair's first.
+def _pair_join(events: EventStream, n0: int) -> list:
+    """The pair checks, then the first-emission count and time sum and, per
+    survivor species (or, pa), the second-emission count and delay sum.
 
     The one owner of the pair checks, in this order: intact identities, a
     positive integer n0, pair ids inside [0, n0), no pair with two firsts or
     two seconds, a first for every second, of the companion species and not
-    later than the second.  Rows and delays stay in row order.
+    later than the second.  The pair-id count and the join (its first error,
+    or its sums) are computed once per stream and kept in its __dict__ as
+    scalars, which its read-only columns keep valid.
     """
     if not events.has_identities:
         raise UnclassifiableError("stream has erased pair identities")
     n0 = _positive_n0(n0)
-    pid = events.pair_id
-    n_ids = int(pid.max()) + 1 if pid.size else 0
-    if n_ids > n0:
+    memo = vars(events)
+    if "_n_ids" not in memo:
+        memo["_n_ids"] = int(events.pair_id.max()) + 1 if len(events) else 0
+    if memo["_n_ids"] > n0:  # before the join sizes a table by it
         raise DataError("pair ids must lie in [0, n0)")
+    if "_pair_join" not in memo:
+        memo["_pair_join"] = _join(events, memo["_n_ids"])
+    error, *sums = memo["_pair_join"]
+    if error is not None:
+        raise DataError(error)
+    return sums
+
+
+def _join(events: EventStream, n_ids: int) -> tuple:
+    # (first structural error or None, then _pair_join's sums), each sum in row order
+    pid, species, time = events.pair_id, events.species, events.time
     r1 = np.flatnonzero(events.order == FIRST_CODE)
     r2 = np.flatnonzero(events.order == SECOND_CODE)
     # each pair's first-emission row, -1 where it has none; sized by the
@@ -147,19 +162,26 @@ def _pair_rows(events: EventStream, n0: int) -> tuple[np.ndarray, np.ndarray, np
     first_row = np.full(n_ids, -1, dtype=np.int32 if pid.size < 2**31 else np.intp)
     first_row[pid.take(r1)] = r1
     if np.count_nonzero(first_row >= 0) != r1.size:
-        raise DataError("a pair carries two first emissions")
+        return ("a pair carries two first emissions",)
     pid2 = pid.take(r2)
     if pid2.size and np.bincount(pid2).max() > 1:
-        raise DataError("a pair carries two second emissions")
+        return ("a pair carries two second emissions",)
     j = first_row.take(pid2)
     if np.any(j < 0):
-        raise DataError("a second emission has no matching first")
-    if np.any(events.species.take(r2) == events.species.take(j)):
-        raise DataError("a pair emitted the same species twice")
-    delays = events.time.take(r2) - events.time.take(j)
+        return ("a second emission has no matching first",)
+    species2 = species.take(r2)
+    if np.any(species2 == species.take(j)):
+        return ("a pair emitted the same species twice",)
+    delays = time.take(r2) - time.take(j)
     if np.any(delays < 0.0):
-        raise DataError("a second emission precedes its first")
-    return r1, r2, delays
+        return ("a second emission precedes its first",)
+    # np.compress, not delays[mask]: the same delays in the same order, so
+    # the same sum, without numpy's slow boolean-mask gather
+    is_or = species2 == OR_CODE
+    seconds = tuple(
+        (int(np.count_nonzero(m)), float(np.compress(m, delays).sum())) for m in (is_or, ~is_or)
+    )
+    return None, r1.size, float(time.take(r1).sum()), seconds
 
 
 def classify(events: EventStream, grid, n0: int) -> ClassifiedCounts:
@@ -169,8 +191,10 @@ def classify(events: EventStream, grid, n0: int) -> ClassifiedCounts:
     intact, pair ids must fit inside [0, n0), no pair may emit two firsts or
     two seconds, and a second must follow a first of the companion species.
     """
-    r1, r2, _ = _pair_rows(events, n0)
+    _pair_join(events, n0)
     grid = np.asarray(grid, dtype=float)
+    r1 = np.flatnonzero(events.order == FIRST_CODE)
+    r2 = np.flatnonzero(events.order == SECOND_CODE)
 
     def cumulative(rows: np.ndarray) -> np.ndarray:
         return np.searchsorted(_sorted(events.time.take(rows)), grid, side="right").astype(
@@ -220,14 +244,15 @@ def erase_identities(events: EventStream) -> EventStream:
     """Strip pair ids and order tags, keeping times, species, and sides.
 
     Models a detector that sees photons but cannot attribute them to pairs;
-    the result supports detection but not classification.
+    the result supports detection but not classification.  It shares the
+    stream's read-only time, species and side columns.
     """
     m = len(events)
     return EventStream(
         pair_id=np.full(m, UNKNOWN_PAIR, dtype=np.int64),
-        time=events.time.copy(),
-        species=events.species.copy(),
-        side=events.side.copy(),
+        time=events.time,
+        species=events.species,
+        side=events.side,
         order=np.full(m, UNKNOWN_CODE, dtype=np.uint8),
     )
 
@@ -261,43 +286,21 @@ def estimate_rates(
     Runs classify's pair checks first, so it rejects exactly the streams
     that classify rejects, with the same errors.
     """
-    r1, r2, delays = _pair_rows(events, n0)
-    n_pairs = r1.size
+    n_pairs, first_sum, seconds = _pair_join(events, n0)
     if n_pairs < min_pairs:
         raise InsufficientDataError(
             f"{n_pairs} first emissions, need at least {min_pairs}"
         )
-    total = float(events.time.take(r1).sum())
-    if total <= 0.0:
+    if first_sum <= 0.0:
         raise DataError("first-emission times sum to zero")
-    gamma_t_est = n_pairs / total
-    is_or = events.species.take(r2) == OR_CODE
-
-    def species_fit(mask: np.ndarray, name: str) -> tuple[float, float, int]:
-        k = int(np.count_nonzero(mask))
-        if k == 0:
-            return math.nan, math.nan, 0
-        # np.compress, not delays[mask]: the same delays in the same order,
-        # so the same sum, without the slow boolean-mask gather
-        total = float(np.compress(mask, delays).sum())
-        if total <= 0.0:
-            raise DataError(f"{name} second-emission delays sum to zero")
-        rate = k / total
-        return rate, rate / math.sqrt(k), k
-
-    or_est, or_se, k_or = species_fit(is_or, Species.OR.value)
-    pa_est, pa_se, k_pa = species_fit(~is_or, Species.PA.value)
-    return RateEstimates(
-        gamma_t_est=gamma_t_est,
-        gamma_t_se=gamma_t_est / math.sqrt(n_pairs),
-        n_pairs=n_pairs,
-        gamma_or_est=or_est,
-        gamma_or_se=or_se,
-        n_second_or=k_or,
-        gamma_pa_est=pa_est,
-        gamma_pa_se=pa_se,
-        n_second_pa=k_pa,
-    )
+    gamma_t_est = n_pairs / first_sum
+    fits = [gamma_t_est, gamma_t_est / math.sqrt(n_pairs), n_pairs]
+    for h, (k, total) in zip(Species, seconds):
+        if k and total <= 0.0:
+            raise DataError(f"{h.value} second-emission delays sum to zero")
+        rate = k / total if k else math.nan
+        fits += [rate, rate / math.sqrt(k) if k else math.nan, k]
+    return RateEstimates(*fits)
 
 
 class Verdict(Enum):

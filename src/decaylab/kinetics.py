@@ -39,6 +39,7 @@ bracketing bisection.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,8 @@ def _as_times(t) -> np.ndarray:
 
 def _check_n0(n0: float) -> float:
     """n0 as a float; the rule for expected (real-valued) populations."""
+    if not isinstance(n0, numbers.Real) or isinstance(n0, bool):
+        raise DomainError(f"n0 must be a real number, got {n0!r}")
     n0 = float(n0)
     if not math.isfinite(n0) or n0 <= 0.0:
         raise DomainError(f"n0 must be a finite positive count, got {n0!r}")

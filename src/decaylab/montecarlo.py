@@ -122,7 +122,9 @@ class EventStream:
     species, side and order hold the small integer codes defined at module
     level; pair_id is UNKNOWN_PAIR and order UNKNOWN_CODE after identity
     erasure.  Rows produced by simulate are sorted by time (ties broken by
-    pair then order).
+    pair then order).  Columns are read-only views, so analyzer's pair join
+    runs once per stream and writing into a column raises ValueError;
+    mutating the arrays passed in after construction is unsupported.
     """
 
     pair_id: np.ndarray
@@ -141,7 +143,8 @@ class EventStream:
         )
         n = None
         for name, dtype in casts:
-            arr = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            arr = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
+            arr.flags.writeable = False
             if arr.ndim != 1:
                 raise DataError(f"{name} must be 1-d")
             if n is None:
@@ -164,6 +167,10 @@ class EventStream:
 
     def __len__(self) -> int:
         return self.time.size
+
+    def __reduce__(self):
+        # copies and pickles rebuild through __post_init__: read-only columns, no kept join
+        return EventStream, (self.pair_id, self.time, self.species, self.side, self.order)
 
     def __getitem__(self, i: int) -> PhotonEvent:
         if self.pair_id[i] == UNKNOWN_PAIR or self.order[i] == UNKNOWN_CODE:
@@ -377,10 +384,10 @@ def _memory_bytes(
 
     proc_cgroup names the process's cgroups: the v2 line "0::PATH" points at
     cgroup_root/PATH/memory.max, a v1 memory-controller line "N:memory:PATH"
-    at cgroup_root/memory/PATH/memory.limit_in_bytes.  The first of these
-    files that holds a number sets the limit.  "max", an unreadable file or
-    an unlimited v1 value (far above physical memory) sets none.  Nothing is
-    written.
+    at cgroup_root/memory/PATH/memory.limit_in_bytes.  A parent's limit binds
+    its children, so these files are read from PATH up to the root and the
+    smallest number wins; "max", an unreadable file or an unlimited v1 value
+    (far above physical memory) sets none.  Nothing is written.
     """
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -391,24 +398,23 @@ def _memory_bytes(
             lines = fh.read().splitlines()
     except OSError:
         lines = []
-    limit = None
+    known = [] if physical is None else [physical]
     for line in lines:
         hierarchy, _, rest = line.partition(":")
         controllers, _, path = rest.partition(":")
-        path = path.lstrip("/")
         if hierarchy == "0" and not controllers:
-            limit_file = os.path.join(cgroup_root, path, "memory.max")
+            base, name = cgroup_root, "memory.max"
         elif "memory" in controllers.split(","):
-            limit_file = os.path.join(cgroup_root, "memory", path, "memory.limit_in_bytes")
+            base, name = os.path.join(cgroup_root, "memory"), "memory.limit_in_bytes"
         else:
             continue
-        try:
-            with open(limit_file) as fh:
-                limit = int(fh.read())
-        except (OSError, ValueError):  # absent, unreadable, or "max"
-            continue
-        break
-    known = [b for b in (physical, limit) if b is not None]
+        parts = [p for p in path.split("/") if p]
+        for depth in range(len(parts), -1, -1):
+            try:
+                with open(os.path.join(base, *parts[:depth], name)) as fh:
+                    known.append(int(fh.read()))
+            except (OSError, ValueError):  # absent, unreadable, or "max"
+                pass
     return min(known) if known else None
 
 

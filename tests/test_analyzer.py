@@ -1,5 +1,7 @@
 """Tests for classification, reconstruction, rate fits, and detection."""
 
+import copy
+import pickle
 import tracemalloc
 from dataclasses import astuple
 
@@ -203,6 +205,57 @@ def test_estimate_rates_pair_checks_match_classify(case):
         assert str(err.value) == want
 
 
+COLUMNS = ("pair_id", "time", "species", "side", "order")
+
+
+def _fresh(stream):
+    return EventStream(*(np.array(getattr(stream, c)) for c in COLUMNS))
+
+
+def _outcome(call):
+    """A call's result in comparable form, or its error's type and message."""
+    try:
+        result = call()
+    except DecayLabError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, ClassifiedCounts):
+        return [getattr(result, f).tolist() for f in ("n1_or", "n1_pa", "n2_or", "n2_pa")]
+    return _bits(astuple(result))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_streams(), st.integers(0, 5), st.booleans())
+def test_pair_join_memo_matches_fresh_streams(case, other_n0, classify_first):
+    # the join is kept on the stream after its first use: later calls, with
+    # either n0 and in either order, must still answer like a fresh stream
+    stream, n0 = case
+    calls = [
+        lambda s, m: classify(s, [1.0], m),
+        lambda s, m: estimate_rates(s, m, min_pairs=0),
+    ]
+    if not classify_first:
+        calls.reverse()
+    for m in (other_n0, n0, other_n0):
+        for call in calls:
+            assert _outcome(lambda: call(stream, m)) == _outcome(lambda: call(_fresh(stream), m))
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_stream_copies_keep_read_only_columns_and_no_kept_join(clone):
+    # a copy that carried the kept join over writable columns could go stale
+    stream, _ = simulate(Scenario(n0=50, rates=RS11, seed=3))
+    estimate_rates(stream, 50, min_pairs=1)
+    twin = clone(stream)
+    for c in COLUMNS:
+        assert not getattr(twin, c).flags.writeable
+        assert np.array_equal(getattr(twin, c), getattr(stream, c))
+    assert not any(key.startswith("_") for key in vars(twin))
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -277,6 +330,19 @@ def test_erase_identities_keeps_observables():
     assert not blind.has_identities
     with pytest.raises(DataError):
         blind[0]
+
+
+def test_erase_identities_shares_the_observed_columns():
+    stream, _ = simulate(Scenario(n0=100, rates=RS11, seed=1))
+    before = {c: getattr(stream, c).copy() for c in COLUMNS}
+    blind = erase_identities(stream)
+    for c in ("time", "species", "side"):
+        assert np.shares_memory(getattr(blind, c), getattr(stream, c))
+    for c in ("pair_id", "order"):
+        assert not np.shares_memory(getattr(blind, c), getattr(stream, c))
+    for c, column in before.items():
+        assert np.array_equal(getattr(stream, c), column)
+    assert stream.has_identities
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +670,51 @@ def test_analyzer_results_match_mask_references(analyzer_streams, name):
     assert _bits(astuple(verdict.fitted_rates)) == want
 
 
+@pytest.fixture(scope="module")
+def million_pair_streams():
+    n0 = 1_000_000
+    rates = RateSet(0.8, 1.4, w_or=-0.1 + 0.2j, w_pa=0.25)
+    entangled = Scenario(n0=n0, rates=rates, seed=73)
+    stream, _ = simulate(entangled)
+    by_side = np.lexsort((stream.time, stream.side))
+    side_ordered = EventStream(*(getattr(stream, c)[by_side] for c in COLUMNS))
+    product, _ = simulate(
+        Scenario(n0=n0, rates=rates, mode="product", product_species=Species.OR, seed=74)
+    )
+    streams = {"time_ordered": stream, "side_ordered": side_ordered, "product": product}
+    return n0, rates, entangled.grid(), streams
+
+
+@pytest.mark.parametrize("classify_first", [True, False], ids=["classify_first", "fit_first"])
+@pytest.mark.parametrize("name", ["time_ordered", "side_ordered", "product", "erased"])
+def test_memoised_join_matches_mask_references_at_1e6(million_pair_streams, name, classify_first):
+    # on a fresh stream per case, so the first call builds the join and the
+    # calls after it read the kept one; every result must match the references
+    n0, rates, grid, streams = million_pair_streams
+    source = streams["time_ordered" if name == "erased" else name]
+    stream = _fresh(erase_identities(source) if name == "erased" else source)
+    verdict = detect(stream, n0, rates)
+    statistic, distances = _detect_reference(stream, n0, rates)
+    assert _bits([verdict.statistic, *verdict.distances.values()]) == _bits(
+        [statistic, *distances.values()]
+    )
+    if name == "erased":
+        assert verdict.fitted_rates is None
+        return
+    rates_want = _bits(_rates_reference(stream, n0))
+    counts_want = [c.tolist() for c in _classify_reference(stream, grid)]
+    for _ in range(2):
+        steps = ["classify", "fit"] if classify_first else ["fit", "classify"]
+        for step in steps:
+            if step == "fit":
+                assert _bits(astuple(estimate_rates(stream, n0))) == rates_want
+            else:
+                counts = classify(stream, grid, n0)
+                got = [counts.n1_or, counts.n1_pa, counts.n2_or, counts.n2_pa]
+                assert [c.tolist() for c in got] == counts_want
+    assert _bits(astuple(verdict.fitted_rates)) == rates_want
+
+
 def test_detect_stream_n0_must_be_whole():
     stream, _ = simulate(Scenario(n0=300, rates=RS11, seed=49))
     # a truncated n0 once reached the fit: 300.7 fitted with 300, and 0.5
@@ -627,6 +738,21 @@ def test_detect_gridded_sources_keep_real_n0():
             verdict = detect(source, n0, RS11, min_pairs=0)
             assert verdict.fitted_rates is None
             assert verdict.threshold == default_threshold(n0)
+
+
+@pytest.mark.parametrize("n0", ["300", b"300", None, True], ids=["str", "bytes", "none", "bool"])
+@pytest.mark.parametrize("entry", ["default_threshold", "detect", "product_model_distance"])
+def test_real_n0_rule_rejects_non_numbers(entry, n0):
+    # float() once let "300" through: detect ended in a numpy TypeError and
+    # default_threshold("300") returned a threshold
+    curve = evaluate_curve(Scenario(n0=300, rates=RS11, t_max=10.0))
+    calls = {
+        "default_threshold": lambda: default_threshold(n0),
+        "detect": lambda: detect(curve, n0, RS11),
+        "product_model_distance": lambda: product_model_distance(curve, n0, Species.OR, 1.0),
+    }
+    with pytest.raises(DomainError, match="real number"):
+        calls[entry]()
 
 
 def test_default_threshold_value():

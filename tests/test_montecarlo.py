@@ -306,6 +306,16 @@ def test_event_stream_sorting_and_access():
     assert stream.has_identities
 
 
+@pytest.mark.parametrize("column", ["pair_id", "time", "species", "side", "order"])
+def test_stream_columns_are_read_only(column):
+    passed = np.array([0, 0])
+    stream = EventStream(passed, np.array([1.0, 2.0]), [OR_CODE, PA_CODE], [0, 1], [0, 1])
+    with pytest.raises(ValueError):
+        getattr(stream, column)[0] = 0
+    # the caller's own array is not frozen: the stream holds a view of it
+    assert passed.flags.writeable
+
+
 def test_simulate_rejects_n0_beyond_physical_memory():
     with pytest.raises(DomainError, match="physical memory"):
         simulate(Scenario(n0=10**13, rates=RS11))
@@ -329,6 +339,22 @@ V1_UNLIMITED = "9223372036854771712"  # LONG_MAX rounded down to a 4 KiB page
         ("0::/box\n", {}, PHYSICAL),
         ("2:cpu:/box\n1:name=systemd:/\n", {"memory.max": "1048576"}, PHYSICAL),
         (None, {"memory.max": "1048576"}, PHYSICAL),
+        ("0::/a/b\n", {"a/b/memory.max": "4194304", "a/memory.max": "1048576"}, 2**20),
+        ("0::/a/b\n", {"a/b/memory.max": "max", "memory.max": "2097152"}, 2**21),
+        ("0::/a/b\n", {"a/b/memory.max": "1048576", "a/memory.max": "4194304"}, 2**20),
+        (
+            "4:memory:/a/b\n",
+            {
+                "memory/a/b/memory.limit_in_bytes": V1_UNLIMITED,
+                "memory/a/memory.limit_in_bytes": "3145728",
+            },
+            3 * 2**20,
+        ),
+        (
+            "4:memory:/box\n0::/box\n",
+            {"memory/box/memory.limit_in_bytes": "3145728", "box/memory.max": "2097152"},
+            2**21,
+        ),
     ],
     ids=[
         "v2",
@@ -342,6 +368,11 @@ V1_UNLIMITED = "9223372036854771712"  # LONG_MAX rounded down to a 4 KiB page
         "unreadable",
         "no-memory-line",
         "no-proc-file",
+        "v2-nested-parent-tighter",
+        "v2-nested-root-limit",
+        "v2-nested-child-tighter",
+        "v1-nested-parent-tighter",
+        "v1-and-v2-smallest",
     ],
 )
 def test_memory_bytes_reads_the_cgroup_limit(tmp_path, proc, files, want):
