@@ -131,57 +131,61 @@ def _pair_join(events: EventStream, n0: int) -> list:
     The one owner of the pair checks, in this order: intact identities, a
     positive integer n0, pair ids inside [0, n0), no pair with two firsts or
     two seconds, a first for every second, of the companion species and not
-    later than the second.  The pair-id count and the join (its first error,
-    or its sums) are computed once per stream and kept in its __dict__ as
-    scalars, which its read-only columns keep valid.
+    later than the second.  The join does not depend on n0: it is computed
+    once per stream and kept in its __dict__ as scalars (the pair-id count,
+    then its first error or its sums), which its read-only columns keep valid.
     """
     if not events.has_identities:
         raise UnclassifiableError("stream has erased pair identities")
     n0 = _positive_n0(n0)
     memo = vars(events)
-    if "_n_ids" not in memo:
-        memo["_n_ids"] = int(events.pair_id.max()) + 1 if len(events) else 0
-    if memo["_n_ids"] > n0:  # before the join sizes a table by it
-        raise DataError("pair ids must lie in [0, n0)")
     if "_pair_join" not in memo:
-        memo["_pair_join"] = _join(events, memo["_n_ids"])
-    error, *sums = memo["_pair_join"]
+        memo["_pair_join"] = _join(events)
+    n_ids, error, *sums = memo["_pair_join"]
+    if n_ids > n0:
+        raise DataError("pair ids must lie in [0, n0)")
     if error is not None:
         raise DataError(error)
     return sums
 
 
-def _join(events: EventStream, n_ids: int) -> tuple:
-    # (first structural error or None, then _pair_join's sums), each sum in row order
+def _join(events: EventStream) -> tuple:
+    # (pair-id count, first structural error or None, then _pair_join's
+    # sums), each sum in row order
     pid, species, time = events.pair_id, events.species, events.time
+    n_ids = int(pid.max()) + 1 if pid.size else 0
+    if n_ids > pid.size:
+        # sparse ids, relabelled 0..k-1 so that the table and the bincount
+        # below are bounded by the stream however large the ids are
+        pid = np.unique(pid, return_inverse=True)[1]
     r1 = np.flatnonzero(events.order == FIRST_CODE)
     r2 = np.flatnonzero(events.order == SECOND_CODE)
     # each pair's first-emission row, -1 where it has none; sized by the
     # stream, not by n0, so a short stream needs no n0-long scratch array,
     # and int32 while rows fit, which halves the scatter's and gather's bytes
-    first_row = np.full(n_ids, -1, dtype=np.int32 if pid.size < 2**31 else np.intp)
+    first_row = np.full(min(n_ids, pid.size), -1, dtype=np.int32 if pid.size < 2**31 else np.intp)
     first_row[pid.take(r1)] = r1
     if np.count_nonzero(first_row >= 0) != r1.size:
-        return ("a pair carries two first emissions",)
+        return n_ids, "a pair carries two first emissions"
     pid2 = pid.take(r2)
     if pid2.size and np.bincount(pid2).max() > 1:
-        return ("a pair carries two second emissions",)
+        return n_ids, "a pair carries two second emissions"
     j = first_row.take(pid2)
     if np.any(j < 0):
-        return ("a second emission has no matching first",)
+        return n_ids, "a second emission has no matching first"
     species2 = species.take(r2)
     if np.any(species2 == species.take(j)):
-        return ("a pair emitted the same species twice",)
+        return n_ids, "a pair emitted the same species twice"
     delays = time.take(r2) - time.take(j)
     if np.any(delays < 0.0):
-        return ("a second emission precedes its first",)
+        return n_ids, "a second emission precedes its first"
     # np.compress, not delays[mask]: the same delays in the same order, so
     # the same sum, without numpy's slow boolean-mask gather
     is_or = species2 == OR_CODE
     seconds = tuple(
         (int(np.count_nonzero(m)), float(np.compress(m, delays).sum())) for m in (is_or, ~is_or)
     )
-    return None, r1.size, float(time.take(r1).sum()), seconds
+    return n_ids, None, r1.size, float(time.take(r1).sum()), seconds
 
 
 def classify(events: EventStream, grid, n0: int) -> ClassifiedCounts:

@@ -12,7 +12,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from enum import Enum
 from itertools import chain
 from pathlib import Path
 
@@ -270,32 +271,35 @@ def write_events_csv(path: Path, stream: EventStream) -> None:
     _write_rows(path, EVENTS_HEADER, "%d,%.17g%s", len(stream), cells)
 
 
-def _complex_block(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
-
 def _emit_error(exc: BaseException) -> None:
     record = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(record), file=sys.stderr)
 
 
+def _json(value):
+    """value as JSON data: a dataclass as a dict of its fields (those declared
+    repr=False left out), a dict value by value, a complex as {re, im}, an
+    Enum as its value, a NaN float as null."""
+    if is_dataclass(value):
+        return {f.name: _json(getattr(value, f.name)) for f in fields(value) if f.repr}
+    if isinstance(value, dict):
+        return {key: _json(item) for key, item in value.items()}
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
+
+
 def _scenario_block(config: RunConfig) -> dict:
-    s = config.scenario
-    mode = s.mode if s.is_entangled else f"{s.mode}:{s.product_species.value}"
-    return {
-        "n0": s.n0,
-        "mode": mode,
-        "gamma_or": s.rates.gamma_or,
-        "gamma_pa": s.rates.gamma_pa,
-        "w_or": _complex_block(s.rates.w_or),
-        "w_pa": _complex_block(s.rates.w_pa),
-        "t_max": s.t_max,
-        "grid_points": s.grid_points,
-        "seed": s.seed,
-        "parallel": s.parallel,
-        "emit": sorted(config.emit),
-        "out": str(config.outdir),
-    }
+    block = _json(config.scenario)
+    block |= block.pop("rates")
+    species = block.pop("product_species")
+    if species is not None:
+        block["mode"] += f":{species}"
+    return block | {"emit": sorted(config.emit), "out": str(config.outdir)}
 
 
 def _run_stages(config: RunConfig, quiet: bool) -> None:
@@ -310,17 +314,9 @@ def _run_stages(config: RunConfig, quiet: bool) -> None:
             print(message)
 
     summary: dict = {"scenario": _scenario_block(config)}
-    summary["rates"] = {
-        "gamma_or": rates.gamma_or,
-        "gamma_pa": rates.gamma_pa,
-        "w_or": _complex_block(rates.w_or),
-        "w_pa": _complex_block(rates.w_pa),
-        "gamma_t_or": er.gamma_t_or,
-        "gamma_t_pa": er.gamma_t_pa,
-        "gamma_t": er.gamma_t,
-        "lambda": er.lam,
-        "lambda_unweighted": lambda_unweighted(rates),
-    }
+    summary["rates"] = _json(rates) | _json(er)
+    summary["rates"]["lambda"] = summary["rates"].pop("lam")
+    summary["rates"]["lambda_unweighted"] = lambda_unweighted(rates)
     warnings = []
     for name, free, modified in (
         ("or", rates.gamma_or, er.gamma_t_or),
@@ -378,21 +374,7 @@ def _run_stages(config: RunConfig, quiet: bool) -> None:
             threshold=config.detection_threshold,
             min_pairs=config.detection_min_pairs,
         )
-        fitted = verdict.fitted_rates
-        if fitted is not None:
-            # a species without second emissions has NaN estimates: JSON null
-            fitted = {
-                name: None if isinstance(value, float) and math.isnan(value) else value
-                for name, value in asdict(fitted).items()
-            }
-        summary["detection"] = {
-            "verdict": verdict.verdict.value,
-            "statistic": verdict.statistic,
-            "threshold": verdict.threshold,
-            "reason": verdict.reason,
-            "distances": verdict.distances,
-            "fitted_rates": fitted,
-        }
+        summary["detection"] = _json(verdict) | {"fitted_rates": _json(verdict.fitted_rates)}
         note(
             f"detection: {verdict.verdict.value} "
             f"(statistic {verdict.statistic:.4g}, threshold {verdict.threshold:.4g})"
@@ -400,7 +382,7 @@ def _run_stages(config: RunConfig, quiet: bool) -> None:
 
     if "lifetimes" in config.emit:
         report = lifetime_report(rates, tol=config.lifetime_tol)
-        summary["lifetimes"] = asdict(report)
+        summary["lifetimes"] = _json(report)
         note(f"lifetimes: tau_tilde_state = {report.tau_tilde_state:.6g}")
 
     summary["conservation_max_error"] = max(conservation) if conservation else None

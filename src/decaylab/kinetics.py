@@ -85,16 +85,20 @@ def _check_n0(n0: float) -> float:
     """n0 as a float; the rule for expected (real-valued) populations."""
     if not isinstance(n0, numbers.Real) or isinstance(n0, bool):
         raise DomainError(f"n0 must be a real number, got {n0!r}")
-    n0 = float(n0)
+    try:
+        n0 = float(n0)
+    except OverflowError:  # an integer beyond the float range
+        n0 = math.inf
     if not math.isfinite(n0) or n0 <= 0.0:
         raise DomainError(f"n0 must be a finite positive count, got {n0!r}")
     return n0
 
 
 def _positive_n0(n0) -> int:
-    """n0 as an int; the rule for counted pairs (bool is not a count)."""
-    if not isinstance(n0, (int, np.integer)) or isinstance(n0, bool) or n0 < 1:
-        raise DomainError("n0 must be a positive integer")
+    """n0 as an int; the rule for counted pairs (bool is not a count, and
+    counts are int64)."""
+    if not isinstance(n0, (int, np.integer)) or isinstance(n0, bool) or not 1 <= n0 < 2**63:
+        raise DomainError("n0 must be a positive integer below 2**63")
     return int(n0)
 
 

@@ -73,6 +73,14 @@ _MAX_THREADS = 64
 # ~10% headroom at scale.  Product mode needs about half.
 _PEAK_BYTES_PER_PAIR = 84
 
+# Bytes an all-stage CLI run holds per grid point at its peak, reached while
+# reconstruction is compared with the histogram: 48 of analytic curve (grid
+# and five float64 columns), 48 of histogram (grid and five int64 columns),
+# 40 of classified counts (grid and four int64 columns), 40 of reconstructed
+# columns and 24 of difference temporaries, 200 in all.  tracemalloc reads
+# 200 at grid_points = 1e6 and 208 at 1e5; 224 keeps ~10% headroom.
+_PEAK_BYTES_PER_POINT = 224
+
 
 class Side(Enum):
     """Which side of the apparatus a photon left through."""
@@ -107,12 +115,6 @@ class PhotonEvent:
     species: Species
     side: Side
     order: EmissionOrder
-
-    def __post_init__(self) -> None:
-        if self.pair_id < 0:
-            raise DomainError("pair_id must be >= 0")
-        if not math.isfinite(self.time) or self.time < 0.0:
-            raise DomainError("event time must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -259,9 +261,11 @@ class Scenario:
     """Full description of one run: preparation, horizon, grid, seed.
 
     t_max defaults to ten lifetimes of the slower species.  grid_points are
-    spread uniformly over [0, t_max].  seed keys the Philox counter stream;
-    parallel lets simulate fan blocks of pairs out over threads (capped by
-    the DECAYLAB_THREADS environment variable) without changing any output.
+    spread uniformly over [0, t_max]; a grid whose run cannot fit in memory
+    is refused, as simulate refuses such an n0.  seed keys the Philox counter
+    stream; parallel lets simulate fan blocks of pairs out over threads
+    (capped by the DECAYLAB_THREADS environment variable) without changing
+    any output.
     """
 
     n0: int
@@ -292,6 +296,8 @@ class Scenario:
         if not isinstance(self.grid_points, (int, np.integer)) or self.grid_points < 2:
             raise DomainError("grid_points must be an integer >= 2")
         object.__setattr__(self, "grid_points", int(self.grid_points))
+        points = self.grid_points
+        _check_memory(points * _PEAK_BYTES_PER_POINT, f"grid_points = {points}")
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
             raise DomainError("seed must be an unsigned 64-bit integer")
         object.__setattr__(self, "seed", int(self.seed))
@@ -418,16 +424,15 @@ def _memory_bytes(
     return min(known) if known else None
 
 
-def _check_memory(n0: int) -> None:
-    """DomainError when simulating n0 pairs cannot fit in the memory that
-    _memory_bytes finds."""
+def _check_memory(need: int, what: str) -> None:
+    """DomainError, starting with what, when need bytes cannot fit in the
+    memory that _memory_bytes finds."""
     available = _memory_bytes()
     if available is None:
         return
-    need = n0 * _PEAK_BYTES_PER_PAIR
     if need > available:
         raise DomainError(
-            f"n0 = {n0} needs about {need / 2**30:.3g} GiB, more than the "
+            f"{what} needs about {need / 2**30:.3g} GiB, more than the "
             f"{available / 2**30:.3g} GiB that physical memory and the "
             "process's cgroup limit allow"
         )
@@ -464,7 +469,7 @@ def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
     under the process's cgroup memory limit.
     """
     n0 = scenario.n0
-    _check_memory(n0)
+    _check_memory(n0 * _PEAK_BYTES_PER_PAIR, f"n0 = {n0}")
     rates = scenario.rates
     seed = scenario.seed
     if scenario.is_entangled:

@@ -240,6 +240,57 @@ def test_pair_join_memo_matches_fresh_streams(case, other_n0, classify_first):
             assert _outcome(lambda: call(stream, m)) == _outcome(lambda: call(_fresh(stream), m))
 
 
+def _sparse(stream, scale=10**12):
+    # the same stream with pair p renamed p * scale
+    return EventStream(stream.pair_id * scale, *(getattr(stream, c) for c in COLUMNS[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_streams())
+def test_sparse_pair_ids_match_dense_ids(case):
+    # ids up to 3e12 would once size the join's table by the largest id
+    stream, n0 = case
+    for call in (
+        lambda s, m: classify(s, [1.0], m),
+        lambda s, m: estimate_rates(s, m, min_pairs=0),
+    ):
+        assert _outcome(lambda: call(_sparse(stream), n0 * 10**12)) == _outcome(
+            lambda: call(stream, n0)
+        )
+
+
+def test_sparse_pair_ids_of_a_simulated_stream():
+    sc = Scenario(n0=5000, rates=RateSet(1.0, 0.5, w_or=0.2j), seed=11)
+    stream, _ = simulate(sc)
+    sparse, n0 = _sparse(stream), sc.n0 * 10**12
+    dense, counts = classify(stream, sc.grid(), sc.n0), classify(sparse, sc.grid(), n0)
+    for name in ("n1_or", "n1_pa", "n2_or", "n2_pa"):
+        assert np.array_equal(getattr(counts, name), getattr(dense, name))
+    assert estimate_rates(sparse, n0) == estimate_rates(stream, sc.n0)
+
+
+N0_CALLS = {
+    "classify": lambda stream, n0: classify(stream, [1.0], n0),
+    "estimate_rates": lambda stream, n0: estimate_rates(stream, n0, min_pairs=1),
+    "histogram": lambda stream, n0: histogram(stream, [0.0, 1.0], n0),
+    "Scenario": lambda stream, n0: Scenario(n0=n0, rates=RS11),
+    "detect": lambda stream, n0: detect(stream, n0, RS11).fitted_rates,
+    "default_threshold": lambda stream, n0: default_threshold(n0),
+}
+
+
+@pytest.mark.parametrize(
+    "entry,n0",
+    [pytest.param(e, 2**63, id=f"{e}-2**63") for e in N0_CALLS if e != "default_threshold"]
+    + [pytest.param(e, 10**400, id=f"{e}-10**400") for e in N0_CALLS],
+)
+def test_n0_beyond_int64_is_a_domain_error(entry, n0):
+    # int64 counts, and float(n0) for the real-valued rule, once ended in a
+    # raw OverflowError here
+    with pytest.raises(DomainError, match="n0 must be a"):
+        N0_CALLS[entry](_hand_stream(), n0)
+
+
 @pytest.mark.parametrize(
     "clone",
     [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
@@ -813,7 +864,7 @@ def malformed_inputs(draw):
         return draw(st.lists(values, min_size=n, max_size=n))
 
     stream = EventStream(
-        np.array(column(st.integers(-1, 6)), dtype=np.int64),
+        np.array(column(st.one_of(st.integers(-1, 6), st.just(10**12))), dtype=np.int64),
         np.array(column(st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0, 2.0, 1e300]))),
         np.array(column(st.integers(0, 1)), dtype=np.uint8),
         np.array(column(st.integers(0, 1)), dtype=np.uint8),
@@ -827,7 +878,7 @@ def malformed_inputs(draw):
             point,
         )
     )
-    n0 = draw(st.one_of(st.integers(-1, 8), st.sampled_from([2.5, True])))
+    n0 = draw(st.one_of(st.integers(-1, 8), st.sampled_from([2.5, True, 2**63, 10**400, 10**13])))
     return stream, grid, n0, draw(st.integers(0, 3))
 
 

@@ -1,6 +1,7 @@
 """Tests for the config parser, CSV writers, and command-line entry point."""
 
 import csv
+import hashlib
 import json
 import math
 import re
@@ -150,6 +151,8 @@ def test_parse_errors_carry_context(text, fragment):
         "lifetime_tol = 0",
         "detection_threshold = nan",
         "detection_min_pairs = 0",
+        "n0 = 9223372036854775808",
+        "grid_points = 1000000000000",
     ],
 )
 def test_range_errors_name_the_line_of_their_key(line):
@@ -166,6 +169,16 @@ def test_default_t_max_overflow_names_the_slow_rate(slow):
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL + f"{slow} = 1e-320\n")
     assert str(err.value).startswith(f"line 4: {slow} ")
+
+
+@pytest.mark.parametrize("line", ["n0 = 9223372036854775808", "grid_points = 1000000000000"])
+def test_oversized_config_values_exit_3_on_their_line(tmp_path, capsys, line):
+    # both once ended in a traceback: an int64 overflow, and a 7.28 TiB grid
+    code, _ = _run(tmp_path, MINIMAL + "emit = analytic, montecarlo\n" + line + "\n")
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["message"].startswith(f"line 5: {line.split()[0]} ")
 
 
 def test_default_t_max_overflow_exits_3(tmp_path, capsys):
@@ -407,6 +420,34 @@ def test_rerun_is_byte_identical(tmp_path):
         summary["scenario"].pop("out")
         summaries.append(summary)
     assert summaries[0] == summaries[1]
+
+
+SUMMARY_DIGESTS = {
+    # entangled, W != 0, every stage, threaded
+    "n0 = 5000\ngamma_or = 1.0\ngamma_pa = 0.5\nw_or = 0.1+0.2i\nw_pa = -0.05i\nseed = 7\n"
+    "parallel = true\nemit = analytic, montecarlo, reconstruction, detection, lifetimes\n": (
+        "347c41284f09375f7e11d1a193fe3296"
+    ),
+    # product:pa, whose fitted per-species rates are NaN: JSON null
+    "n0 = 5000\ngamma_or = 1.0\ngamma_pa = 0.5\nmode = product:pa\nseed = 7\n"
+    "emit = analytic, montecarlo, detection, lifetimes\n": "2b794217fb58d97ec7ee77d3e7a70ae1",
+    # too few pairs for a verdict, so fitted_rates is null
+    "n0 = 50\ngamma_or = 1.0\ngamma_pa = 0.5\nw_or = 0.1+0.2i\nseed = 7\n"
+    "emit = analytic, montecarlo, reconstruction, detection, lifetimes\n": (
+        "25f4e752bee2aa2956a65511db35f7f8"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", SUMMARY_DIGESTS, ids=["entangled", "product", "n0=50"])
+def test_summary_json_bytes_are_pinned(tmp_path, monkeypatch, text):
+    # digests of the summaries written before the blocks came from the result
+    # dataclasses; a relative --out keeps scenario.out fixed
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, text)
+    assert main(["--config", str(cfg), "--out", "out", "--quiet"]) == 0
+    summary = (tmp_path / "out" / "summary.json").read_bytes()
+    assert hashlib.blake2b(summary, digest_size=16).hexdigest() == SUMMARY_DIGESTS[text]
 
 
 def test_seed_override_changes_events(tmp_path):
