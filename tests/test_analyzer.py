@@ -820,6 +820,19 @@ def test_pair_ids_beyond_n0_are_data_errors():
         detect(stream, 3, RS11, min_pairs=1).fitted_rates
 
 
+@pytest.mark.parametrize("n0s", [(3, 4), (4, 3)], ids=["short-n0-first", "long-n0-first"])
+def test_pair_id_range_error_comes_before_structural_errors(n0s):
+    # pair 0 emits one species twice and pair 3 lies outside n0 = 3; the
+    # kept join must not let its structural error win over the range check
+    stream = _stream([0, 0, 3], [1.0, 2.0, 0.5], [0, 0, 0], [0, 1, 0], [0, 1, 0])
+    want = {3: "pair ids must lie in [0, n0)", 4: "a pair emitted the same species twice"}
+    for n0 in n0s:
+        for call in (lambda m: classify(stream, [1.0], m), lambda m: estimate_rates(stream, m, 1)):
+            with pytest.raises(DataError) as err:
+                call(n0)
+            assert str(err.value) == want[n0]
+
+
 @pytest.mark.parametrize(
     "check",
     [
