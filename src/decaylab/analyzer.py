@@ -436,14 +436,15 @@ def detect(
     1.2 * threshold, Product below 0.8 * threshold, and Inconclusive inside
     the band or when fewer than min_pairs pairs were prepared.  A gridded
     source takes any finite n0 > 0; a stream counts its pairs, so its n0
-    must be a whole number, which the rate fit then receives exactly.
+    must be a whole number below 2**63, which the rate fit then receives
+    exactly.
     """
     _check_n0(n0)
     fit_args = None
     if isinstance(source, EventStream):
         if int(n0) != n0:
             raise DomainError(f"n0 must be a whole number for a stream source, got {n0!r}")
-        fit_args = (source, int(n0), min_pairs)
+        fit_args = (source, _positive_n0(int(n0)), min_pairs)
     if threshold is None:
         threshold = default_threshold(n0)
     if not (threshold > 0.0 and math.isfinite(threshold)):

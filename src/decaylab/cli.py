@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
-from itertools import chain
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -63,17 +63,45 @@ WARN_RATE_FACTOR = 1e3
 # rows formatted and written per file write; bounds the writers' memory
 _CHUNK = 8192
 
-# everything of an events.csv row after its time, keyed species * 6 + side * 3
-# + order (the montecarlo column codes)
-_EVENT_SUFFIXES = np.array(
-    [
-        f",{species},{side},{order}\n"
-        for species in ("or", "pa")
-        for side in ("L", "R")
-        for order in ("first", "second", "unknown")
-    ],
-    dtype=object,
-)
+# The writers lay a chunk of rows out as a matrix of cells in 8-byte words, a
+# block of words per column whose last cell holds the "," or "\n" after it;
+# dropping the zero cells leaves the rows' bytes.  A float block is 20 (digit,
+# ".") pairs, "000" and 17 digits, for 1e-3 <= v < 1e16, an int block 16
+# digits for 0 <= v < 10**16; other values take Python's '%.17g' or '%d'.
+_DIGITS = (np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + 48).astype(np.uint8, order="C")
+_PAIRS = np.insert(_DIGITS, [1, 2, 3, 4], ord("."), axis=1).view(np.uint64).ravel()
+_ZEROS = np.zeros(10_000, np.int8)  # trailing zeros of 0000..9999
+for _zero in _DIGITS.T == 48:
+    _ZEROS = _zero * (_ZEROS + 1)
+_POW10 = 10 ** np.arange(1, 16)
+# the smallest double >= 10**j, j = -3..16 (each parsed 1e-j lies above 10**-j)
+_LOWS = np.array([float(f"1e{j}") for j in range(-3, 17)])
+# 5**q < 2**47 for q <= 19, and its Veltkamp split into 26-bit halves
+_POW5 = np.array([float(5**q) for q in range(20)])
+_POW5_HI = _POW5 * 134217729.0 - (_POW5 * 134217729.0 - _POW5)
+_POW5_LO = _POW5 - _POW5_HI
+# an events.csv row's labels, keyed species * 6 + side * 3 + order (the
+# montecarlo column codes)
+_LABELS = np.array(
+    [",".join(label) for label in product(("or", "pa"), "LR", ("first", "second", "unknown"))],
+    "S16",
+).view(np.uint64).reshape(-1, 2)
+
+
+def _masks() -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the kept cells of a float block, row (k + 3) * 18 + kept for
+    10**k <= v < 10**(k + 1) with kept digits left once trailing zeros go,
+    and of an int block's digits, row k for k + 1 digits."""
+    k = np.arange(-3, 17)[:, None, None]
+    kept = np.maximum(np.arange(18)[:, None], k + 1)  # integer digits stay
+    i, point = np.divmod(np.arange(40), 2)  # cell 2i holds digit i, 2i + 1 a "."
+    digits = (i >= 3 + np.minimum(k, 0)) & (i < 3 + kept)
+    floats = np.where(point, (i == 3 + k) & (kept > k + 1), digits).reshape(-1, 40)
+    ints = np.arange(16) >= np.arange(15, -1, -1)[:, None]
+    return tuple((m * np.uint8(255)).view(np.uint64) for m in (floats, ints))
+
+
+_FLOAT_MASK, _INT_MASK = _masks()
 
 
 @dataclass(frozen=True)
@@ -231,44 +259,101 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(message) from exc
 
 
-def _write_rows(path: Path, header: str, row_format: str, n: int, cells) -> None:
-    """Write a header line, then n rows of row_format, _CHUNK rows per write.
+def _spill(text: np.ndarray, outside: np.ndarray, values, fmt: bytes) -> None:
+    """fmt % v by Python in each row outside the tables' range."""
+    for row in np.flatnonzero(outside).tolist():
+        cells = text[row].view(np.uint8)
+        cells[:] = 0
+        field = fmt % values[row].item()
+        cells[: len(field)] = np.frombuffer(field, np.uint8)
 
-    cells(lo, hi) returns the columns of rows [lo, hi) as lists of Python
-    scalars; one % over the repeated row format renders the whole chunk.
-    """
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            values = tuple(chain.from_iterable(zip(*cells(lo, hi))))
-            fh.write(row_format * (hi - lo) % values)
+
+def _groups(n: np.ndarray, count: int) -> np.ndarray:
+    """The count base-10**4 digits of n, leading first; n is overwritten."""
+    groups = np.empty((n.size, count), np.int64)
+    for i in range(count - 1, 0, -1):
+        np.divmod(n, 10**4, out=(n, groups[:, i]))
+    groups[:, 0] = n
+    return groups
+
+
+def _float_cells(x: np.ndarray, text: np.ndarray) -> None:
+    """'%.17g' % v of each v in x, in integer arithmetic for 1e-3 <= v < 1e16."""
+    x = np.asarray(x, dtype=np.float64)  # '%.17g' formats any float as a double
+    inside = (x >= _LOWS[0]) & (x < 1e16)
+    v = np.where(inside, x, 1.0)
+    k = _LOWS.searchsorted(v, "right") - 4  # 10**k <= v < 10**(k + 1)
+    q = 16 - k
+    mant, e = np.frexp(v)
+    # v * 10**q, of 17 integer digits, is (p + err) * 2**s: Dekker's exact
+    # two-product of the 53-bit mantissa and 5**q, scaled so p * 2**s >= 2**53
+    m = mant * 2.0**53
+    split = m * 134217729.0
+    m_hi = split - (split - m)
+    m_lo = m - m_hi
+    f_hi, f_lo = _POW5_HI[q], _POW5_LO[q]
+    p = m * _POW5[q]
+    err = ((m_hi * f_hi - p) + m_hi * f_lo + m_lo * f_hi) + m_lo * f_lo
+    s = e + q - 53
+    err = np.ldexp(err, s)
+    whole = np.floor(err)
+    n = np.ldexp(p, s).astype(np.int64) + whole.astype(np.int64)
+    err -= whole
+    # half to even, as dtoa; doubles are too sparse for n to reach 10**17
+    n += (err > 0.5) | ((err == 0.5) & (n & 1 == 1))
+    groups = _groups(n, 5)
+    z = _ZEROS[groups.T]
+    kept = 17 - (z[4] + (z[4] == 4) * (z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * z[1])))
+    np.bitwise_and(_PAIRS[groups], _FLOAT_MASK.take((k + 3) * 18 + kept, axis=0), out=text)
+    _spill(text, ~inside, x, b"%.17g")
+
+
+def _int_cells(x: np.ndarray, text: np.ndarray) -> None:
+    """'%d' % v of each v in x, by table for 0 <= v < 10**16."""
+    inside = (x >= 0) & (x < 10**16)
+    v = np.where(inside, x, 0).astype(np.int64)
+    mask = _INT_MASK.take(_POW10.searchsorted(v, "right"), axis=0)
+    groups = _groups(v, 4)
+    np.bitwise_and(_DIGITS.view(np.uint32)[groups, 0].view(np.uint64), mask, out=text[:, :2])
+    text[:, 2] = 0  # room for a 20-character '%d'
+    _spill(text, ~inside, x, b"%d")
+
+
+def _label_cells(key: np.ndarray, text: np.ndarray) -> None:
+    text[:] = _LABELS.take(key, axis=0)
+
+
+def _write_rows(path: Path, header: str, columns) -> None:
+    """Write a header line, then a row per element of the (cells, words,
+    values) columns, _CHUNK rows per write; cells(v, text) fills a chunk's
+    block of words."""
+    n = len(columns[0][2])
+    chunk = max(1, min(_CHUNK, n))
+    ends = np.cumsum([words for _, words, _ in columns])
+    text = np.zeros((chunk, ends[-1]), np.uint64)
+    raw = text.view(np.uint8)
+    seps = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for lo in range(0, n, chunk):
+            m = min(chunk, n - lo)
+            for (fill, words, values), end in zip(columns, ends):
+                fill(values[lo : lo + m], text[:m, end - words : end])
+            raw[:m, 8 * ends - 1] = seps
+            fh.write(np.compress(raw[:m].ravel() != 0, raw[:m].ravel()).tobytes())
 
 
 def write_curve_csv(path: Path, curve) -> None:
     columns = (curve.grid, curve.n, curve.n_or, curve.n_pa, curve.N_or, curve.N_pa)
-    # "%.17g" % x equals format(x, ".17g") for every float, -0.0 and subnormals
-    # included, and integer counts print in full
-    specs = ("%d" if col.dtype.kind in "biu" else "%.17g" for col in columns)
-    _write_rows(
-        path,
-        CURVE_HEADER,
-        ",".join(specs) + "\n",
-        curve.grid.size,
-        lambda lo, hi: [col[lo:hi].tolist() for col in columns],
-    )
+    # integer counts print in full, as "%d" would
+    cells = ((_int_cells, 3) if c.dtype.kind in "biu" else (_float_cells, 5) for c in columns)
+    _write_rows(path, CURVE_HEADER, [(f, words, c) for (f, words), c in zip(cells, columns)])
 
 
 def write_events_csv(path: Path, stream: EventStream) -> None:
-    def cells(lo: int, hi: int) -> tuple[list, list, list]:
-        key = stream.species[lo:hi] * 6 + stream.side[lo:hi] * 3 + stream.order[lo:hi]
-        return (
-            stream.pair_id[lo:hi].tolist(),
-            stream.time[lo:hi].tolist(),
-            _EVENT_SUFFIXES[key].tolist(),
-        )
-
-    _write_rows(path, EVENTS_HEADER, "%d,%.17g%s", len(stream), cells)
+    key = stream.species * 6 + stream.side * 3 + stream.order
+    columns = [(_int_cells, 3, stream.pair_id), (_float_cells, 5, stream.time)]
+    _write_rows(path, EVENTS_HEADER, columns + [(_label_cells, 2, key)])
 
 
 def _emit_error(exc: BaseException) -> None:

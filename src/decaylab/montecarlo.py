@@ -27,6 +27,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -383,7 +384,7 @@ def _thread_count(parallel: bool) -> int:
 
 
 def _memory_bytes(
-    proc_cgroup: str = "/proc/self/cgroup", cgroup_root: str = "/sys/fs/cgroup"
+    proc_cgroup: str | None = None, cgroup_root: str = "/sys/fs/cgroup"
 ) -> int | None:
     """Bytes this process may use: physical memory, or its cgroup's memory
     limit when that is smaller; None when neither can be read.
@@ -393,8 +394,12 @@ def _memory_bytes(
     at cgroup_root/memory/PATH/memory.limit_in_bytes.  A parent's limit binds
     its children, so these files are read from PATH up to the root and the
     smallest number wins; "max", an unreadable file or an unlimited v1 value
-    (far above physical memory) sets none.  Nothing is written.
+    (far above physical memory) sets none.  Nothing is written.  Without
+    proc_cgroup, /proc/self/cgroup is read once per process and the answer
+    kept, so a limit changed under a running process goes unseen.
     """
+    if proc_cgroup is None:
+        return _own_memory_bytes(cgroup_root)
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf on this platform
@@ -422,6 +427,11 @@ def _memory_bytes(
             except (OSError, ValueError):  # absent, unreadable, or "max"
                 pass
     return min(known) if known else None
+
+
+@cache
+def _own_memory_bytes(cgroup_root: str) -> int | None:
+    return _memory_bytes("/proc/self/cgroup", cgroup_root)
 
 
 def _check_memory(need: int, what: str) -> None:

@@ -780,6 +780,14 @@ def test_detect_stream_n0_must_be_whole():
     assert whole.statistic == detect(stream, 300, RS11, min_pairs=10).statistic
 
 
+def test_detect_holds_a_stream_n0_below_2_63_up_front():
+    # the counted-pair rule once surfaced only on reading fitted_rates
+    stream, _ = simulate(Scenario(n0=300, rates=RS11, seed=49))
+    for n0 in (2**63, float(2**63), 1e19):
+        with pytest.raises(DomainError, match="n0 must be a positive integer below 2"):
+            detect(stream, n0, RS11)
+
+
 def test_detect_gridded_sources_keep_real_n0():
     sc = Scenario(n0=300, rates=RS11, seed=49, t_max=10.0)
     stream, curve = simulate(sc)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -382,6 +383,78 @@ def test_curve_csv_matches_reference_writer(tmp_path_factory, curve):
     with mock.patch.object(cli, "_CHUNK", SMALL_CHUNK):
         write_curve_csv(path, curve)
     assert path.read_bytes() == _curve_csv_reference(curve)
+
+
+# ---------------------------------------------------------------------------
+# the writers' table-driven number cells against Python's own % formatting
+
+
+def _cell_fields(cells, values, words: int) -> list[bytes]:
+    """The fields cells(values, text) renders, one per value."""
+    text = np.zeros((len(values), words), np.uint64)
+    cells(values, text)
+    raw = text.view(np.uint8)
+    raw[:, -1] = ord("\n")
+    return np.compress(raw.ravel() != 0, raw.ravel()).tobytes().split(b"\n")[:-1]
+
+
+def _assert_floats_format_like_python(values) -> None:
+    x = np.asarray(values, dtype=float)
+    assert _cell_fields(cli._float_cells, x, 5) == [b"%.17g" % v for v in x.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(1e-4, 1e16), min_size=1, max_size=64))
+def test_float_cells_match_python(values):
+    _assert_floats_format_like_python(values)
+
+
+def test_float_cells_round_near_ties_like_python():
+    # d5e(k - 17) lies halfway between two 17-digit decimals of exponent k;
+    # its double and the doubles either side round on both sides of the tie
+    rng = np.random.default_rng(20261018)
+    digits = rng.integers(10**16, 10**17, 20_000).tolist()
+    exponents = rng.integers(-4, 16, 20_000).tolist()
+    ties = np.array([float(f"{d}5e{k - 17}") for d, k in zip(digits, exponents)])
+    _assert_floats_format_like_python(np.concatenate([ties, np.nextafter(ties, 0.0)]))
+    _assert_floats_format_like_python(np.nextafter(ties, np.inf))
+    # short binary fractions have exact decimal ties
+    fractions = rng.integers(1, 2**24, 20_000) / 2.0 ** rng.integers(0, 40, 20_000)
+    _assert_floats_format_like_python(fractions)
+
+
+def test_float_cells_around_powers_of_ten():
+    for j in range(-5, 18):
+        around = [float(f"1e{j}")]
+        for _ in range(30):
+            around = [np.nextafter(around[0], 0.0)] + around + [np.nextafter(around[-1], np.inf)]
+        _assert_floats_format_like_python(around)
+
+
+def test_float_cells_bulk_over_the_whole_range():
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2**64, 50_000, dtype=np.uint64).view(np.float64)  # nan, inf, -0.0 too
+    spread = 10.0 ** rng.uniform(-6, 18, 50_000)
+    _assert_floats_format_like_python(np.concatenate([bits, spread, [0.0, -0.0, 5e-324]]))
+
+
+def test_float_cells_decade_bounds_are_exact():
+    # _LOWS[j + 3] must be the smallest double >= 10**j
+    for j, low in zip(range(-3, 17), cli._LOWS.tolist()):
+        assert Fraction(low) >= Fraction(10) ** j > Fraction(np.nextafter(low, 0.0))
+
+
+def test_int_cells_match_python():
+    rng = np.random.default_rng(12)
+    edges = [10**j + d for j in range(20) for d in (-1, 0, 1) if 10**j + d < 2**63]
+    for values in (
+        np.array(edges + [0, -1, -(2**63), 2**63 - 1], dtype=np.int64),
+        rng.integers(-(2**63), 2**63 - 1, 20_000),
+        rng.integers(0, 10 ** rng.integers(1, 17, 20_000)),
+        np.array([0, 10**16, 2**64 - 1], dtype=np.uint64),
+        np.array([True, False]),
+    ):
+        assert _cell_fields(cli._int_cells, values, 3) == [b"%d" % v for v in values.tolist()]
 
 
 @pytest.mark.parametrize("erase", [False, True])

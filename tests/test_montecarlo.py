@@ -3,6 +3,7 @@
 import hashlib
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -384,6 +385,19 @@ def test_memory_bytes_reads_the_cgroup_limit(tmp_path, proc, files, want):
         (root / rel).parent.mkdir(parents=True, exist_ok=True)
         (root / rel).write_text(text)
     assert _memory_bytes(str(proc_cgroup), str(root)) == want
+
+
+def test_memory_bytes_reads_its_own_limit_once(tmp_path):
+    assert _memory_bytes() == _memory_bytes()
+    # a kept answer opens no file; explicit paths are read on every call
+    proc_cgroup = tmp_path / "cgroup"
+    proc_cgroup.write_text("0::/\n")
+    (tmp_path / "memory.max").write_text("4096\n")
+    with mock.patch("builtins.open", side_effect=AssertionError("file opened")):
+        assert _memory_bytes() <= PHYSICAL
+    for limit in (4096, 8192):
+        (tmp_path / "memory.max").write_text(f"{limit}\n")
+        assert _memory_bytes(str(proc_cgroup), str(tmp_path)) == limit
 
 
 def test_simulate_rejects_n0_beyond_the_cgroup_limit(monkeypatch):
