@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
-from itertools import product
+from itertools import groupby, product
 from pathlib import Path
 
 import numpy as np
@@ -260,20 +260,20 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _spill(text: np.ndarray, outside: np.ndarray, values, fmt: bytes) -> None:
-    """fmt % v by Python in each row outside the tables' range."""
-    for row in np.flatnonzero(outside).tolist():
-        cells = text[row].view(np.uint8)
+    """fmt % v by Python for each value outside the tables' range."""
+    for index in zip(*np.nonzero(outside)):
+        cells = text[index].view(np.uint8)
         cells[:] = 0
-        field = fmt % values[row].item()
+        field = fmt % values[index].item()
         cells[: len(field)] = np.frombuffer(field, np.uint8)
 
 
 def _groups(n: np.ndarray, count: int) -> np.ndarray:
     """The count base-10**4 digits of n, leading first; n is overwritten."""
-    groups = np.empty((n.size, count), np.int64)
+    groups = np.empty(n.shape + (count,), np.int64)
     for i in range(count - 1, 0, -1):
-        np.divmod(n, 10**4, out=(n, groups[:, i]))
-    groups[:, 0] = n
+        np.divmod(n, 10**4, out=(n, groups[..., i]))
+    groups[..., 0] = n
     return groups
 
 
@@ -302,7 +302,7 @@ def _float_cells(x: np.ndarray, text: np.ndarray) -> None:
     # half to even, as dtoa; doubles are too sparse for n to reach 10**17
     n += (err > 0.5) | ((err == 0.5) & (n & 1 == 1))
     groups = _groups(n, 5)
-    z = _ZEROS[groups.T]
+    z = _ZEROS[np.moveaxis(groups, -1, 0)]
     kept = 17 - (z[4] + (z[4] == 4) * (z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * z[1])))
     np.bitwise_and(_PAIRS[groups], _FLOAT_MASK.take((k + 3) * 18 + kept, axis=0), out=text)
     _spill(text, ~inside, x, b"%.17g")
@@ -314,8 +314,8 @@ def _int_cells(x: np.ndarray, text: np.ndarray) -> None:
     v = np.where(inside, x, 0).astype(np.int64)
     mask = _INT_MASK.take(_POW10.searchsorted(v, "right"), axis=0)
     groups = _groups(v, 4)
-    np.bitwise_and(_DIGITS.view(np.uint32)[groups, 0].view(np.uint64), mask, out=text[:, :2])
-    text[:, 2] = 0  # room for a 20-character '%d'
+    np.bitwise_and(_DIGITS.view(np.uint32)[groups, 0].view(np.uint64), mask, out=text[..., :2])
+    text[..., 2] = 0  # room for a 20-character '%d'
     _spill(text, ~inside, x, b"%d")
 
 
@@ -324,30 +324,37 @@ def _label_cells(key: np.ndarray, text: np.ndarray) -> None:
 
 
 def _write_rows(path: Path, header: str, columns) -> None:
-    """Write a header line, then a row per element of the (cells, words,
-    values) columns, _CHUNK rows per write; cells(v, text) fills a chunk's
-    block of words."""
+    """Write a header line, then a row per element of the columns, _CHUNK
+    rows per write.  columns are (cells, words, values), values one column
+    or (n, c) for c side by side; cells(v, text) fills a chunk's words of v."""
     n = len(columns[0][2])
     chunk = max(1, min(_CHUNK, n))
-    ends = np.cumsum([words for _, words, _ in columns])
+    words = [w for _, w, values in columns for _ in range(math.prod(values.shape[1:]))]
+    ends = np.cumsum(words)  # each value's last cell holds the "," or "\n" after it
+    bounds = np.cumsum([0] + [w * math.prod(values.shape[1:]) for _, w, values in columns])
     text = np.zeros((chunk, ends[-1]), np.uint64)
     raw = text.view(np.uint8)
-    seps = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for lo in range(0, n, chunk):
             m = min(chunk, n - lo)
-            for (fill, words, values), end in zip(columns, ends):
-                fill(values[lo : lo + m], text[:m, end - words : end])
-            raw[:m, 8 * ends - 1] = seps
+            for (fill, w, values), start, stop in zip(columns, bounds, bounds[1:]):
+                block = values[lo : lo + m]
+                fill(block, text[:m, start:stop].reshape(block.shape + (w,)))
+            raw[:m, 8 * ends - 1] = ord(",")
+            raw[:m, -1] = ord("\n")
             fh.write(np.compress(raw[:m].ravel() != 0, raw[:m].ravel()).tobytes())
 
 
 def write_curve_csv(path: Path, curve) -> None:
     columns = (curve.grid, curve.n, curve.n_or, curve.n_pa, curve.N_or, curve.N_pa)
-    # integer counts print in full, as "%d" would
-    cells = ((_int_cells, 3) if c.dtype.kind in "biu" else (_float_cells, 5) for c in columns)
-    _write_rows(path, CURVE_HEADER, [(f, words, c) for (f, words), c in zip(cells, columns)])
+    # adjacent columns of one dtype take one cells call; integer counts print
+    # in full, as "%d" would
+    blocks = []
+    for dtype, same in groupby(columns, key=lambda column: column.dtype):
+        cells, words = (_int_cells, 3) if dtype.kind in "biu" else (_float_cells, 5)
+        blocks.append((cells, words, np.column_stack(list(same))))
+    _write_rows(path, CURVE_HEADER, blocks)
 
 
 def write_events_csv(path: Path, stream: EventStream) -> None:
