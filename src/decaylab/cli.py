@@ -260,12 +260,11 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _spill(text: np.ndarray, outside: np.ndarray, values, fmt: bytes) -> None:
-    """fmt % v by Python for each value outside the tables' range."""
-    for index in zip(*np.nonzero(outside)):
-        cells = text[index].view(np.uint8)
-        cells[:] = 0
-        field = fmt % values[index].item()
-        cells[: len(field)] = np.frombuffer(field, np.uint8)
+    """fmt % v by Python for each value outside the tables' range, written
+    into its words zero-padded (no field reaches a block's separator cell)."""
+    fields = [fmt % value for value in values[outside].tolist()]
+    words = text.shape[-1]
+    text[outside] = np.array(fields, f"S{8 * words}").view(np.uint64).reshape(-1, words)
 
 
 def _groups(n: np.ndarray, count: int) -> np.ndarray:
