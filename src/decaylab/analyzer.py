@@ -55,6 +55,7 @@ from .montecarlo import (
     UNKNOWN_CODE,
     UNKNOWN_PAIR,
     EventStream,
+    _nondecreasing,
     _sorted,
 )
 from .rates import RateSet, Species
@@ -348,34 +349,43 @@ def default_threshold(n0: float) -> float:
     return THRESHOLD_SAFETY * KS_COEFF / math.sqrt(_check_n0(n0))
 
 
+def _blocks(a: np.ndarray):
+    """a in consecutive slices of _DISTANCE_BLOCK elements."""
+    return (a[lo : lo + _DISTANCE_BLOCK] for lo in range(0, a.size, _DISTANCE_BLOCK))
+
+
 def _stream_distance(sorted_times: np.ndarray, n0: float, gamma: float) -> float:
+    return _blocks_distance(_blocks(sorted_times), n0, gamma)
+
+
+def _blocks_distance(blocks, n0: float, gamma: float) -> float:
     # sup over t of |count(<= t)/n0 - (1 - exp(-gamma t))|, evaluated at the
-    # jump points from both sides plus the t -> infinity tail.  Blocks of
-    # _DISTANCE_BLOCK times run the same ufuncs in reused cache-sized
-    # buffers; max and min are exact, so blocking changes no bit
-    k = sorted_times.size
-    tail = abs(k / n0 - 1.0)
-    if k == 0:
-        return tail
-    size = min(k, _DISTANCE_BLOCK)
-    model = np.empty(size)
-    gap = np.empty(size)
+    # jump points from both sides plus the t -> infinity tail.  Blocks of at
+    # most _DISTANCE_BLOCK sorted times run the same ufuncs in reused buffers,
+    # levels from the running count; max and min are exact, so no bit moves
+    model, gap = np.empty((2, _DISTANCE_BLOCK))
     # np.maximum keeps a NaN gap, as one max over all gaps would; a Python
     # 0.0 seed would also turn an all-zero distance into a float
     before = after = np.float64(0.0)
-    for lo in range(0, k, size):
-        hi = min(lo + size, k)
-        m, g = model[: hi - lo], gap[: hi - lo]
-        np.multiply(sorted_times[lo:hi], -gamma, out=m)
+    k = 0
+    for times in blocks:
+        lo, k = k, k + times.size
+        if lo == k:
+            continue
+        m, g = model[: k - lo], gap[: k - lo]
+        np.multiply(times, -gamma, out=m)
         np.expm1(m, out=m)
         np.negative(m, out=m)
         # levels[j] = (lo + j) / n0, the count fraction between jumps
-        levels = np.arange(lo, hi + 1, dtype=float)
+        levels = np.arange(lo, k + 1, dtype=float)
         levels /= n0
         np.subtract(m, levels[:-1], out=g)
         before = np.maximum(before, max(abs(g.max()), abs(g.min())))
         np.subtract(levels[1:], m, out=g)
         after = np.maximum(after, max(abs(g.max()), abs(g.min())))
+    tail = abs(k / n0 - 1.0)
+    if k == 0:
+        return tail
     return max(before, after, tail)
 
 
@@ -384,18 +394,14 @@ def _grid_distance(grid: np.ndarray, photons: np.ndarray, n0: float, gamma: floa
     return float(np.max(np.abs(photons / n0 - model)))
 
 
-def _species_photons(source, h: Species) -> np.ndarray:
-    """Species-h photon record: a stream's sorted photon times, or a gridded
-    source's cumulative photon counts on source.grid."""
-    if isinstance(source, EventStream):
-        # np.compress, not time[mask]: the same times in the same order, ~3x
-        # faster than numpy's boolean-mask gather on a mixed stream
-        return _sorted(np.compress(source.species == SPECIES_CODE[h], source.time))
-    if isinstance(source, (ClassifiedCounts, PopulationCurve)):
-        return source.photons(h)
-    raise DomainError(
-        "source must be an EventStream, ClassifiedCounts, or PopulationCurve"
-    )
+def _species_times(events: EventStream, code: int):
+    """A stream's species-code times in time order, in blocks: from each row
+    block when the time column never decreases, else from one sorted copy.
+    np.compress, not time[mask]: the same times, ~3x faster on a mixed stream."""
+    if _nondecreasing(events.time):
+        rows = zip(_blocks(events.species), _blocks(events.time))
+        return (np.compress(species == code, time) for species, time in rows)
+    return _blocks(_sorted(np.compress(events.species == code, events.time)))
 
 
 def product_model_distance(source, n0: float, h: Species, gamma: float) -> float:
@@ -408,16 +414,19 @@ def product_model_distance(source, n0: float, h: Species, gamma: float) -> float
     _check_n0(n0)
     if gamma <= 0:
         raise DomainError("gamma must be positive")
-    photons = _species_photons(source, h)
     if isinstance(source, EventStream):
-        return _stream_distance(photons, n0, gamma)
-    return _grid_distance(source.grid, np.asarray(photons, dtype=float), n0, gamma)
+        return _blocks_distance(_species_times(source, SPECIES_CODE[h]), n0, gamma)
+    if not isinstance(source, (ClassifiedCounts, PopulationCurve)):
+        raise DomainError("source must be an EventStream, ClassifiedCounts, or PopulationCurve")
+    return _grid_distance(source.grid, np.asarray(source.photons(h), dtype=float), n0, gamma)
 
 
 def _companion_mass(source, h: Species, n0: float) -> float:
+    # source has passed product_model_distance's type check
     if isinstance(source, EventStream):
-        return int(np.count_nonzero(source.species == SPECIES_CODE[h])) / n0
-    photons = _species_photons(source, h)
+        code = SPECIES_CODE[h]
+        return sum(int(np.count_nonzero(s == code)) for s in _blocks(source.species)) / n0
+    photons = source.photons(h)
     return float(np.max(photons)) / n0 if len(photons) else 0.0
 
 
@@ -437,7 +446,9 @@ def detect(
     the band or when fewer than min_pairs pairs were prepared.  A gridded
     source takes any finite n0 > 0; a stream counts its pairs, so its n0
     must be a whole number below 2**63, which the rate fit then receives
-    exactly.
+    exactly.  A stream whose time column never decreases, as simulate's, is
+    read in row blocks without copying a species' times; any other stream
+    has each species' times compressed out and sorted first.
     """
     _check_n0(n0)
     fit_args = None

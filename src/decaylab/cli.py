@@ -431,6 +431,7 @@ def _run_stages(config: RunConfig, quiet: bool) -> None:
         write_curve_csv(path, curve)
         conservation.append(conservation_residual(curve, scenario.is_entangled))
         note(f"analytic: {curve.grid.size} grid points -> {path}")
+        del curve  # each curve is freed after its stage (_PEAK_BYTES_PER_POINT)
 
     stream = empirical = None
     if config.emit & {"montecarlo", "reconstruction", "detection"}:
@@ -451,6 +452,7 @@ def _run_stages(config: RunConfig, quiet: bool) -> None:
         for name in ("n", "n_or", "n_pa", "N_or", "N_pa"):
             delta = np.abs(getattr(recon, name) - getattr(empirical, name))
             diff = max(diff, int(delta.max()) if delta.size else 0)
+        del counts, recon, delta
         summary["reconstruction"] = {
             "matches_montecarlo": diff == 0,
             "max_abs_difference": diff,

@@ -64,23 +64,23 @@ UNKNOWN_PAIR = -1
 _BLOCK = 1 << 16
 _MAX_THREADS = 64
 
-# Bytes simulate holds per entangled pair at its peak, reached while
-# _sorted_stream derives the columns: 17 of draw output (two float64 times
-# and one packed uint8 code), 16 of sort permutation, 38 of stream columns
-# (two rows of int64 pair id, float64 time and three uint8 codes), 2 of
-# gathered first codes and 2 of a column temporary, 75 in all.  The draws
-# are freed before histogram, which needs ~46.  tracemalloc reads 75-76 at
-# n0 = 1e6 and up to 83 at 1e5, where the fixed buffers weigh more; 84 keeps
-# ~10% headroom at scale.  Product mode needs about half.
-_PEAK_BYTES_PER_PAIR = 84
+# Bytes simulate holds per entangled pair at its peak, reached in histogram:
+# 38 of stream columns (two rows of int64 pair id, float64 time and three
+# uint8 codes) and ~12 of category codes and row lists, 50 in all.  The
+# build before it needs ~41: 16 of times and 16 of sort keys, which become
+# the time and pair columns, 1 of draw codes and 8 of uint8 columns and
+# gathered codes.  tracemalloc reads 50 at n0 = 1e6 and up to 84 at 1e5,
+# where the draw blocks' fixed buffers weigh more; 56 keeps ~10% headroom
+# at scale.  Product mode needs about 28.
+_PEAK_BYTES_PER_PAIR = 56
 
 # Bytes an all-stage CLI run holds per grid point at its peak, reached while
-# reconstruction is compared with the histogram: 48 of analytic curve (grid
-# and five float64 columns), 48 of histogram (grid and five int64 columns),
-# 40 of classified counts (grid and four int64 columns), 40 of reconstructed
-# columns and 24 of difference temporaries, 200 in all.  tracemalloc reads
-# 200 at grid_points = 1e6 and 208 at 1e5; 224 keeps ~10% headroom.
-_PEAK_BYTES_PER_POINT = 224
+# reconstruction is compared with the histogram (each curve is freed after
+# its stage): 48 of histogram, 40 of classified counts, 40 of reconstructed
+# columns and 24 of difference temporaries, 152 in all.  tracemalloc reads
+# 152 at grid_points = 1e6 and 243 at 1e5, where the CSV writer's fixed
+# chunk buffers weigh more; 168 keeps ~10% headroom at scale.
+_PEAK_BYTES_PER_POINT = 168
 
 
 class Side(Enum):
@@ -202,6 +202,44 @@ class EventStream:
         )
 
 
+def _sort_keys(time: np.ndarray, first_row: int, bits: int, out: np.ndarray) -> None:
+    """Write into out the sort keys of rows first_row.. holding time: the
+    time's bit pattern with its low bits replaced by the row index."""
+    key = np.add(time, 0.0, out=out.view(np.float64)).view(np.uint64)  # -0.0 becomes 0.0
+    key &= ~np.uint64((1 << bits) - 1)
+    key |= np.arange(first_row, first_row + time.size, dtype=np.uint64)
+
+
+def _adjacent(a: np.ndarray):
+    """(lo, a[lo:hi], a[lo + 1 : hi + 1]) over spans of _BLOCK rows: every pair
+    of adjacent elements of a, a block at a time, so no n-row temporary."""
+    spans = ((lo, min(lo + _BLOCK, a.size - 1)) for lo in range(0, a.size - 1, _BLOCK))
+    return ((lo, a[lo:hi], a[lo + 1 : hi + 1]) for lo, hi in spans)
+
+
+def _key_order(key: np.ndarray, bits: int, time: np.ndarray, pair_id=None, order=None) -> np.ndarray:
+    """Sort key, written by _sort_keys, in place and decode it into the
+    permutation np.lexsort((order, pair_id, time)), an int64 view of key.
+
+    Only runs of keys that agree in the time bits, exact ties among them,
+    need their rows re-sorted, by a gather of just those rows.  The key sort
+    leaves a run in row order, as lexsort's stability does; without pair_id
+    and order the rows are taken to be in (pair, order) order already.
+    """
+    key.sort()
+    shift = np.uint64(bits)
+    ties = [lo + np.flatnonzero(a >> shift == b >> shift) for lo, a, b in _adjacent(key)]
+    key &= np.uint64((1 << bits) - 1)
+    rows = key.view(np.int64)
+    starts = np.concatenate([np.empty(0, dtype=np.intp), *ties])
+    if starts.size:
+        pos = np.union1d(starts, starts + 1)
+        run = rows[pos]
+        keys = (time[run],) if pair_id is None else (order[run], pair_id[run], time[run])
+        rows[pos] = run[np.lexsort(keys)]
+    return rows
+
+
 def _time_order(
     time: np.ndarray, pair_id: np.ndarray | None = None, order: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -210,41 +248,23 @@ def _time_order(
     Times must be non-negative, as EventStream and simulate guarantee: their
     bit patterns then order like the values, so one value sort of 64-bit
     keys holding the high bits of the time and the row index in the low bits
-    places every row (several times faster than an argsort).  Only runs of
-    rows whose keys agree in the time bits, exact ties among them, are then
-    re-sorted by (time, pair, order); the key sort leaves each run in row
-    order, which lexsort's stability keeps for rows equal in all three keys.
-    Without pair_id and order the rows are taken to be in (pair, order)
-    order already, so ties keep row order.
+    places the rows (several times faster than an argsort; _key_order).
     """
     bits = max(time.size - 1, 1).bit_length()
-    row_mask = np.uint64((1 << bits) - 1)
-    key = (time + 0.0).view(np.uint64)  # + 0.0 turns -0.0 into 0.0
-    key &= ~row_mask
-    key |= np.arange(time.size, dtype=np.uint64)
-    key.sort()
-    idx = (key & row_mask).view(np.int64)
-    key >>= np.uint64(bits)
-    tie = key[1:] == key[:-1]
-    if tie.any():
-        in_run = np.zeros(time.size, dtype=bool)
-        in_run[1:] = tie
-        in_run[:-1] |= tie
-        pos = np.flatnonzero(in_run)
-        rows = idx[pos]
-        if pair_id is None:
-            keys = (time[rows],)
-        else:
-            keys = (order[rows], pair_id[rows], time[rows])
-        idx[pos] = rows[np.lexsort(keys)]
+    key = np.empty(time.size, dtype=np.uint64)
+    _sort_keys(time, 0, bits, key)
+    idx = _key_order(key, bits, time, pair_id, order)
     return idx, time[idx]
+
+
+def _nondecreasing(t: np.ndarray) -> bool:
+    """True when t never decreases."""
+    return all(np.all(b >= a) for _, a, b in _adjacent(t))
 
 
 def _sorted(t: np.ndarray) -> np.ndarray:
     """t itself when already non-decreasing, else a sorted copy."""
-    if np.all(t[1:] >= t[:-1]):
-        return t
-    return np.sort(t)
+    return t if _nondecreasing(t) else np.sort(t)
 
 
 def _default_t_max(rates: RateSet) -> float:
@@ -448,26 +468,29 @@ def _check_memory(need: int, what: str) -> None:
         )
 
 
-def _sorted_stream(times: np.ndarray, codes: np.ndarray, scenario: Scenario) -> EventStream:
-    """The time-ordered stream of simulate's draws, one time per row.
-
-    Rows are in (pair, order) order, so the row tie-break is the lexsort's.
-    The permutation and gathered codes die with this call.
-    """
-    idx, time_col = _time_order(times)
+def _sorted_stream(
+    times: np.ndarray, keys: np.ndarray, codes: np.ndarray, scenario: Scenario
+) -> EventStream:
+    """The time-ordered stream of simulate's draws, built in their buffers:
+    times (one per row, rows in (pair, order) order) sort into the time
+    column, their keys decode into the pair column.  codes holds each pair's
+    species | side << 1 of its first emission."""
+    rows = _key_order(keys, max(keys.size - 1, 1).bit_length(), times)
+    # simulate draws no -0.0, so equal times have equal bits and the value
+    # sort gives the column that gathering them by rows would
+    times.sort()
     if scenario.is_entangled:
-        pair_col = idx >> 1
-        order_col = idx.astype(np.uint8) & 1  # the low bit of the row
-        first = codes[pair_col]
+        order_col = rows.astype(np.uint8) & 1  # the low bit of the row
+        rows >>= 1
+        first = codes[rows]
         # a second emission has the companion species and the opposite side
         species_col = (first & 1) ^ order_col
         side_col = (first >> 1) ^ order_col
     else:
-        pair_col = idx
-        order_col = np.full(idx.size, FIRST_CODE, dtype=np.uint8)
-        species_col = np.full(idx.size, SPECIES_CODE[scenario.product_species], dtype=np.uint8)
-        side_col = codes[idx]
-    return EventStream(pair_col, time_col, species_col, side_col, order_col)
+        order_col = np.full(rows.size, FIRST_CODE, dtype=np.uint8)
+        species_col = np.full(rows.size, SPECIES_CODE[scenario.product_species], dtype=np.uint8)
+        side_col = codes[rows]
+    return EventStream(rows, times, species_col, side_col, order_col)
 
 
 def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
@@ -481,36 +504,36 @@ def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
     n0 = scenario.n0
     _check_memory(n0 * _PEAK_BYTES_PER_PAIR, f"n0 = {n0}")
     rates = scenario.rates
-    seed = scenario.seed
     if scenario.is_entangled:
         er = derive_rates(rates)
         if er.gamma_t <= 0.0:
             raise NoDecayError("gamma_t = 0: entangled pairs never emit")
-        # pair p's first and second emission are rows 2p and 2p + 1
-        times = np.empty((n0, 2))
-        # species | side << 1 of each pair's first emission
-        codes = np.empty(n0, dtype=np.uint8)
 
-        def fill(lo: int, hi: int) -> None:
-            rng = pair_substream(seed, lo)
-            u = rng.random((hi - lo) * DRAWS_PER_PAIR).reshape(-1, DRAWS_PER_PAIR)
-            t1, s_or, t2, left = _entangled_from_uniforms(u, rates, er)
-            times[lo:hi, 0] = t1
-            times[lo:hi, 1] = t2
+        def draw(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+            out[:, 0], s_or, out[:, 1], left = _entangled_from_uniforms(u, rates, er)
             # PA_CODE and R_CODE are 1, OR_CODE and L_CODE are 0
-            codes[lo:hi] = (~s_or).astype(np.uint8) | (~left).astype(np.uint8) << 1
+            return (~s_or).astype(np.uint8) | (~left).astype(np.uint8) << 1
 
     else:
         gamma_h = rates.gamma(scenario.product_species)
-        times = np.empty(n0)
-        codes = np.empty(n0, dtype=np.uint8)
 
-        def fill(lo: int, hi: int) -> None:
-            rng = pair_substream(seed, lo)
-            u = rng.random((hi - lo) * DRAWS_PER_PAIR).reshape(-1, DRAWS_PER_PAIR)
-            t, left = _product_from_uniforms(u, gamma_h)
-            times[lo:hi] = t
-            codes[lo:hi] = ~left  # R_CODE is 1, L_CODE 0
+        def draw(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+            out[:, 0], left = _product_from_uniforms(u, gamma_h)
+            return ~left  # R_CODE is 1, L_CODE 0
+
+    # pair p's first and second emission are rows 2p and 2p + 1
+    width = 2 if scenario.is_entangled else 1
+    times = np.empty((n0, width))
+    keys = np.empty(n0 * width, dtype=np.uint64)
+    bits = max(keys.size - 1, 1).bit_length()
+    # species | side << 1 of each pair's first emission
+    codes = np.empty(n0, dtype=np.uint8)
+
+    def fill(lo: int, hi: int) -> None:
+        rng = pair_substream(scenario.seed, lo)
+        u = rng.random((hi - lo) * DRAWS_PER_PAIR).reshape(-1, DRAWS_PER_PAIR)
+        codes[lo:hi] = draw(u, times[lo:hi])
+        _sort_keys(times[lo:hi].ravel(), width * lo, bits, keys[width * lo : width * hi])
 
     spans = [(lo, min(lo + _BLOCK, n0)) for lo in range(0, n0, _BLOCK)]
     workers = _thread_count(scenario.parallel)
@@ -522,9 +545,9 @@ def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
         for lo, hi in spans:
             fill(lo, hi)
 
-    stream = _sorted_stream(times.ravel(), codes, scenario)
-    # the stream holds every draw now; free the draws before histogram counts
-    del times, codes
+    stream = _sorted_stream(times.ravel(), keys, codes, scenario)
+    # the stream holds every draw now; free the codes before histogram counts
+    del times, keys, codes
     curve = histogram(stream, scenario.grid(), n0, mode=scenario.mode)
     return stream, curve
 
@@ -539,7 +562,7 @@ def _category_counts(
     category's count is the number of its rows inside that prefix.  Other
     streams sort each category's times.
     """
-    if np.all(t[1:] >= t[:-1]):
+    if _nondecreasing(t):
         pos = np.searchsorted(t, grid, side="right")
         return [np.searchsorted(np.flatnonzero(categories == c), pos) for c in range(k)]
     return [

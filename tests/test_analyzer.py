@@ -4,6 +4,7 @@ import copy
 import pickle
 import tracemalloc
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -764,6 +765,82 @@ def test_memoised_join_matches_mask_references_at_1e6(million_pair_streams, name
                 got = [counts.n1_or, counts.n1_pa, counts.n2_or, counts.n2_pa]
                 assert [c.tolist() for c in got] == counts_want
     assert _bits(astuple(verdict.fitted_rates)) == rates_want
+
+
+def _materialised_detect(stream, n0, rates):
+    """detect's statistic and distances from each species' times compressed
+    out and sorted whole, as detect read every stream before row blocks."""
+    distances = {}
+    for h, gamma in ((Species.OR, rates.gamma_or), (Species.PA, rates.gamma_pa)):
+        code = OR_CODE if h is Species.OR else PA_CODE
+        shape = _stream_distance(np.sort(np.compress(stream.species == code, stream.time)), n0, gamma)
+        mass = int(np.count_nonzero(stream.species != code)) / n0
+        distances[f"shape_{h.value}"] = shape
+        distances[f"mass_{h.companion().value}"] = mass
+        distances[f"product_{h.value}"] = max(shape, mass)
+    return min(distances["product_or"], distances["product_pa"]), distances
+
+
+def _typed_bits(values) -> list:
+    return [(type(v), np.float64(v).tobytes()) for v in values]
+
+
+def _blocked_case(k, absent):
+    rng = np.random.default_rng(k)
+    # exact ties and zeros at the front, so equal times straddle row blocks
+    time = np.sort(np.round(rng.exponential(1.0, k), 3))
+    species = rng.integers(0, 2, k).astype(np.uint8)
+    if absent:
+        # pa is absent from the first row block and or from the second
+        species[: _DISTANCE_BLOCK + 5] = OR_CODE
+        species[_DISTANCE_BLOCK + 5 : 2 * _DISTANCE_BLOCK + 9] = PA_CODE
+    erased = np.full(k, -1)
+    return EventStream(erased, time, species, rng.integers(0, 2, k), np.full(k, 2))
+
+
+@pytest.mark.parametrize(
+    "k,absent",
+    [(0, False), (1, False), (2**15 - 1, False), (2**15, False), (2**15 + 1, False)]
+    + [(3 * 2**15 + 7, True)],
+    ids=lambda v: str(v),
+)
+def test_blocked_detect_matches_the_materialised_path(k, absent):
+    assert _DISTANCE_BLOCK == 2**15
+    stream = _blocked_case(k, absent)
+    rates = RateSet(1.3, 0.7)
+    for n0 in (max(k // 2, 1), 3 * k + 1):
+        # a sorted stream is read in row blocks and never sorted
+        with mock.patch("decaylab.analyzer._sorted", side_effect=AssertionError):
+            verdict = detect(stream, n0, rates, min_pairs=1)
+        statistic, distances = _materialised_detect(stream, n0, rates)
+        assert _typed_bits([verdict.statistic]) == _typed_bits([statistic])
+        assert verdict.distances.keys() == distances.keys()
+        assert _typed_bits(verdict.distances.values()) == _typed_bits(distances.values())
+
+
+def test_side_ordered_stream_keeps_the_sort_path(million_pair_streams):
+    n0, rates, _, streams = million_pair_streams
+    verdicts = {}
+    for name in ("time_ordered", "side_ordered"):
+        with mock.patch("decaylab.analyzer._sorted", wraps=np.sort) as sort:
+            verdicts[name] = detect(streams[name], n0, rates)
+        assert sort.call_count == (2 if name == "side_ordered" else 0)
+    by_time, by_side = verdicts["time_ordered"], verdicts["side_ordered"]
+    assert _typed_bits([by_side.statistic]) == _typed_bits([by_time.statistic])
+    assert _typed_bits(by_side.distances.values()) == _typed_bits(by_time.distances.values())
+
+
+def test_detect_on_a_time_ordered_stream_copies_no_column(million_pair_streams):
+    # row blocks, not a mask, an index array and a compressed copy per
+    # species (18 MB at 1e6 pairs)
+    n0, rates, _, streams = million_pair_streams
+    tracemalloc.start()
+    try:
+        detect(streams["time_ordered"], n0, rates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_detect_stream_n0_must_be_whole():

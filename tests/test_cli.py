@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -27,6 +28,8 @@ from decaylab import (
 from decaylab.cli import (
     CURVE_HEADER,
     EVENTS_HEADER,
+    STAGES,
+    RunConfig,
     format_complex,
     main,
     parse_complex,
@@ -34,6 +37,7 @@ from decaylab.cli import (
     write_curve_csv,
     write_events_csv,
 )
+from decaylab.montecarlo import _PEAK_BYTES_PER_POINT
 
 MINIMAL = "n0 = 1000\ngamma_or = 1.0\ngamma_pa = 1.0\n"
 
@@ -261,6 +265,22 @@ def test_run_all_stages(tmp_path):
     assert summary["detection"]["verdict"] == "entangled"
     assert summary["detection"]["fitted_rates"]["n_pairs"] == 1000
     assert summary["conservation_max_error"] <= 1e-9 * 1000
+
+
+def test_run_peak_memory_within_its_per_point_estimate(tmp_path):
+    # Scenario refuses grids by this estimate, so an all-stage run must not
+    # undercount it; a small n0 leaves the grid-sized curves to dominate
+    points = 500_000
+    rates = RateSet(1.0, 0.5, w_or=0.3 + 0.2j, w_pa=-0.4)
+    scenario = Scenario(n0=1000, rates=rates, grid_points=points, seed=4)
+    config = RunConfig(scenario, outdir=tmp_path, emit=frozenset(STAGES))
+    tracemalloc.start()
+    try:
+        assert cli.run(config, quiet=True) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= points * _PEAK_BYTES_PER_POINT
 
 
 def test_csv_shapes_and_headers(tmp_path):

@@ -41,6 +41,8 @@ from decaylab.montecarlo import (
     UNKNOWN_PAIR,
     _PEAK_BYTES_PER_PAIR,
     _memory_bytes,
+    _sort_keys,
+    _sorted_stream,
     _time_order,
 )
 
@@ -510,6 +512,58 @@ def test_time_order_of_interleaved_rows_matches_lexsort(case):
     idx, time = _time_order(rows.time)
     np.testing.assert_array_equal(idx, want_idx)
     np.testing.assert_array_equal(time, want.time)
+
+
+@st.composite
+def build_rows(draw):
+    # simulate's draw buffers: pair p's times in row p (first, then second
+    # emission when entangled) and its first emission's species | side << 1.
+    # Integer times tie across pairs, times a few ulps apart (subnormals at
+    # zero) agree only in the keys' time bits, and a zero delay ties a pair
+    # with itself; _BLOCK is patched small so tie runs straddle its blocks
+    mode = draw(st.sampled_from(["entangled", "product"]))
+    n = draw(st.integers(1, 40))
+    ints = st.lists(st.integers(0, 5), min_size=n, max_size=n)
+    whole = np.array(draw(ints), dtype=float)
+    t1 = whole + np.array(draw(ints)) % 3 * np.spacing(whole)
+    times = np.column_stack([t1, t1 + np.array(draw(ints), dtype=float)])
+    if mode == "product":
+        times = times[:, :1].copy()
+    top = 3 if mode == "entangled" else 1
+    codes = np.array(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), np.uint8)
+    split = draw(st.integers(0, n))
+    block = draw(st.sampled_from([1, 2, 3, 7, 2**16]))
+    return mode, times, codes, split, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(build_rows())
+def test_stream_build_matches_lexsort_on_tie_runs(case):
+    # the pinned digests never reach a tie run; this is the check of that path
+    mode, times, codes, split, block = case
+    n, width = times.shape
+    product = mode == "product"
+    scenario = Scenario(n0=n, rates=RS11, mode=mode, product_species=Species.PA if product else None)
+    rows = np.arange(times.size)
+    order = (rows % width).astype(np.uint8)
+    first = codes[rows // width]
+    laid_out = EventStream(
+        rows // width,
+        times.ravel(),
+        np.full(rows.size, PA_CODE) if product else (first & 1) ^ order,
+        first if product else (first >> 1) ^ order,
+        order,
+    )
+    want = _lexsorted(laid_out)[1]
+    keys = np.empty(times.size, dtype=np.uint64)
+    bits = max(times.size - 1, 1).bit_length()
+    for lo, hi in ((0, split), (split, n)):  # fill writes the keys block by block
+        _sort_keys(times[lo:hi].ravel(), width * lo, bits, keys[width * lo : width * hi])
+    with mock.patch("decaylab.montecarlo._BLOCK", block):
+        got = _sorted_stream(times.ravel(), keys, codes, scenario)
+    for c in COLUMNS:
+        assert getattr(got, c).dtype == getattr(want, c).dtype
+        assert getattr(got, c).tobytes() == getattr(want, c).tobytes(), c
 
 
 # ---------------------------------------------------------------------------
