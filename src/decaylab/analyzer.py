@@ -84,7 +84,7 @@ MIN_PAIRS_DEFAULT = 100
 KS_COEFF = 1.36
 THRESHOLD_SAFETY = 3.0
 
-# sorted times per _stream_distance block: 256 KB per float64 buffer
+# elements per _blocks slice and _blocks_distance block: 256 KB of float64
 _DISTANCE_BLOCK = 1 << 15
 
 
@@ -198,24 +198,21 @@ def classify(events: EventStream, grid, n0: int) -> ClassifiedCounts:
     """
     _pair_join(events, n0)
     grid = np.asarray(grid, dtype=float)
-    r1 = np.flatnonzero(events.order == FIRST_CODE)
-    r2 = np.flatnonzero(events.order == SECOND_CODE)
+    # the pair checks passed, so a row that is not a first is a second
+    first, is_or = events.order == FIRST_CODE, events.species == OR_CODE
 
-    def cumulative(rows: np.ndarray) -> np.ndarray:
-        return np.searchsorted(_sorted(events.time.take(rows)), grid, side="right").astype(
-            np.int64
-        )
+    def cumulative(mask: np.ndarray) -> np.ndarray:
+        # np.compress, not time[mask]: the same times in row order, without
+        # numpy's slow boolean-mask gather or a row list per category
+        times = _sorted(np.compress(mask, events.time))
+        return np.searchsorted(times, grid, side="right").astype(np.int64)
 
-    # np.compress, not rows[mask]: numpy's boolean-mask gather is ~3x slower
-    # on a random 50/50 mask, and compress keeps the same rows in order
-    or1 = events.species.take(r1) == OR_CODE
-    or2 = events.species.take(r2) == OR_CODE
     return ClassifiedCounts(
         grid=grid,
-        n1_or=cumulative(np.compress(or1, r1)),
-        n1_pa=cumulative(np.compress(~or1, r1)),
-        n2_or=cumulative(np.compress(or2, r2)),
-        n2_pa=cumulative(np.compress(~or2, r2)),
+        n1_or=cumulative(first & is_or),
+        n1_pa=cumulative(first & ~is_or),
+        n2_or=cumulative(~first & is_or),
+        n2_pa=cumulative(~first & ~is_or),
         n0=n0,
     )
 

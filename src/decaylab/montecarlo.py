@@ -217,7 +217,9 @@ def _adjacent(a: np.ndarray):
     return ((lo, a[lo:hi], a[lo + 1 : hi + 1]) for lo, hi in spans)
 
 
-def _key_order(key: np.ndarray, bits: int, time: np.ndarray, pair_id=None, order=None) -> np.ndarray:
+def _key_order(
+    key: np.ndarray, bits: int, time: np.ndarray, pair_id=None, order=None
+) -> np.ndarray:
     """Sort key, written by _sort_keys, in place and decode it into the
     permutation np.lexsort((order, pair_id, time)), an int64 view of key.
 
@@ -263,8 +265,10 @@ def _nondecreasing(t: np.ndarray) -> bool:
 
 
 def _sorted(t: np.ndarray) -> np.ndarray:
-    """t itself when already non-decreasing, else a sorted copy."""
-    return t if _nondecreasing(t) else np.sort(t)
+    """t, sorted in place unless it never decreases already."""
+    if not _nondecreasing(t):
+        t.sort()
+    return t
 
 
 def _default_t_max(rates: RateSet) -> float:

@@ -843,6 +843,21 @@ def test_detect_on_a_time_ordered_stream_copies_no_column(million_pair_streams):
     assert peak < 2 * 2**20
 
 
+def test_classify_counts_without_row_lists(million_pair_streams):
+    # a mask per row and one category's times at a time, not row lists and
+    # gathered times (27 MB at 1e6 pairs)
+    n0, _, grid, streams = million_pair_streams
+    stream = streams["time_ordered"]
+    estimate_rates(stream, n0)  # builds and keeps the pair join
+    tracemalloc.start()
+    try:
+        classify(stream, grid, n0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_detect_stream_n0_must_be_whole():
     stream, _ = simulate(Scenario(n0=300, rates=RS11, seed=49))
     # a truncated n0 once reached the fit: 300.7 fitted with 300, and 0.5
