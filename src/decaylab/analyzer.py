@@ -380,10 +380,8 @@ def _blocks_distance(blocks, n0: float, gamma: float) -> float:
         before = np.maximum(before, max(abs(g.max()), abs(g.min())))
         np.subtract(levels[1:], m, out=g)
         after = np.maximum(after, max(abs(g.max()), abs(g.min())))
-    tail = abs(k / n0 - 1.0)
-    if k == 0:
-        return tail
-    return max(before, after, tail)
+    # with no times the tail, 1.0, is the distance
+    return max(before, after, abs(k / n0 - 1.0))
 
 
 def _grid_distance(grid: np.ndarray, photons: np.ndarray, n0: float, gamma: float) -> float:
@@ -394,8 +392,12 @@ def _grid_distance(grid: np.ndarray, photons: np.ndarray, n0: float, gamma: floa
 def _species_times(events: EventStream, code: int):
     """A stream's species-code times in time order, in blocks: from each row
     block when the time column never decreases, else from one sorted copy.
-    np.compress, not time[mask]: the same times, ~3x faster on a mixed stream."""
-    if _nondecreasing(events.time):
+    np.compress, not time[mask]: the same times, ~3x faster on a mixed stream.
+    The order check is kept on the stream, as the pair join is."""
+    memo = vars(events)
+    if "_time_sorted" not in memo:
+        memo["_time_sorted"] = _nondecreasing(events.time)
+    if memo["_time_sorted"]:
         rows = zip(_blocks(events.species), _blocks(events.time))
         return (np.compress(species == code, time) for species, time in rows)
     return _blocks(_sorted(np.compress(events.species == code, events.time)))

@@ -126,8 +126,9 @@ class EventStream:
     level; pair_id is UNKNOWN_PAIR and order UNKNOWN_CODE after identity
     erasure.  Rows produced by simulate are sorted by time (ties broken by
     pair then order).  Columns are read-only views, so analyzer's pair join
-    runs once per stream and writing into a column raises ValueError;
-    mutating the arrays passed in after construction is unsupported.
+    and time-order check run once per stream; writing into a column raises
+    ValueError, and mutating the arrays passed in after construction is
+    unsupported.
     """
 
     pair_id: np.ndarray

@@ -42,6 +42,7 @@ from decaylab.montecarlo import (
     PA_CODE,
     R_CODE,
     SECOND_CODE,
+    _nondecreasing,
 )
 
 RS11 = RateSet(1.0, 1.0)
@@ -828,6 +829,22 @@ def test_side_ordered_stream_keeps_the_sort_path(million_pair_streams):
     by_time, by_side = verdicts["time_ordered"], verdicts["side_ordered"]
     assert _typed_bits([by_side.statistic]) == _typed_bits([by_time.statistic])
     assert _typed_bits(by_side.distances.values()) == _typed_bits(by_time.distances.values())
+
+
+@pytest.mark.parametrize("name", ["time_ordered", "side_ordered"])
+def test_detect_checks_a_stream_order_once(analyzer_streams, name):
+    # the check is kept on the stream, as the pair join is; a copy checks anew
+    n0, rates, _, streams = analyzer_streams
+    stream = _fresh(streams[name])
+    want = detect(copy.copy(stream), n0, rates)
+    with mock.patch("decaylab.analyzer._nondecreasing", wraps=_nondecreasing) as check:
+        verdicts = [detect(stream, n0, rates) for _ in range(3)]
+        detect(copy.copy(stream), n0, rates)
+    assert check.call_count == 2
+    for verdict in verdicts:
+        assert _bits([verdict.statistic, *verdict.distances.values()]) == _bits(
+            [want.statistic, *want.distances.values()]
+        )
 
 
 def test_detect_on_a_time_ordered_stream_copies_no_column(million_pair_streams):
