@@ -218,17 +218,16 @@ def _adjacent(a: np.ndarray):
     return ((lo, a[lo:hi], a[lo + 1 : hi + 1]) for lo, hi in spans)
 
 
-def _key_order(
-    key: np.ndarray, bits: int, time: np.ndarray, pair_id=None, order=None
-) -> np.ndarray:
-    """Sort key, written by _sort_keys, in place and decode it into the
-    permutation np.lexsort((order, pair_id, time)), an int64 view of key.
+def _key_order(key: np.ndarray, time: np.ndarray, pair_id=None, order=None) -> np.ndarray:
+    """Sort key, written by _sort_keys for key.size rows, in place and decode
+    it into the permutation np.lexsort((order, pair_id, time)), an int64 view.
 
     Only runs of keys that agree in the time bits, exact ties among them,
     need their rows re-sorted, by a gather of just those rows.  The key sort
     leaves a run in row order, as lexsort's stability does; without pair_id
     and order the rows are taken to be in (pair, order) order already.
     """
+    bits = max(key.size - 1, 1).bit_length()
     key.sort()
     shift = np.uint64(bits)
     ties = [lo + np.flatnonzero(a >> shift == b >> shift) for lo, a, b in _adjacent(key)]
@@ -256,7 +255,7 @@ def _time_order(
     bits = max(time.size - 1, 1).bit_length()
     key = np.empty(time.size, dtype=np.uint64)
     _sort_keys(time, 0, bits, key)
-    idx = _key_order(key, bits, time, pair_id, order)
+    idx = _key_order(key, time, pair_id, order)
     return idx, time[idx]
 
 
@@ -480,7 +479,7 @@ def _sorted_stream(
     times (one per row, rows in (pair, order) order) sort into the time
     column, their keys decode into the pair column.  codes holds each pair's
     species | side << 1 of its first emission."""
-    rows = _key_order(keys, max(keys.size - 1, 1).bit_length(), times)
+    rows = _key_order(keys, times)
     # simulate draws no -0.0, so equal times have equal bits and the value
     # sort gives the column that gathering them by rows would
     times.sort()
