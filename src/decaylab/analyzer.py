@@ -29,6 +29,13 @@ its own hypothesis at fluctuation scale 1/sqrt(n0); entangled data puts
 half its photons in the companion species of every hypothesis, pinning the
 statistic near one.  The verdict bands the statistic against a threshold,
 by default three times the 95% Kolmogorov fluctuation scale 1.36/sqrt(n0).
+
+Both scans pay only for the rows they must read.  A stream's non-decreasing
+time runs are found once and kept on it: classify counts a stream of few
+runs by searching the grid in each run and tallying codes per grid segment.
+On a time-ordered stream detect bounds the gap of every segment of _SEGMENT
+rows from its first and last times and the counts around it, and evaluates
+the gaps exactly only in segments whose bound can reach the supremum.
 """
 
 from __future__ import annotations
@@ -50,11 +57,13 @@ from .kinetics import PopulationCurve, _check_n0, _positive_n0
 from .montecarlo import (
     FIRST_CODE,
     OR_CODE,
+    PA_CODE,
     SECOND_CODE,
     SPECIES_CODE,
     UNKNOWN_CODE,
     UNKNOWN_PAIR,
     EventStream,
+    _adjacent,
     _nondecreasing,
     _sorted,
 )
@@ -84,8 +93,17 @@ MIN_PAIRS_DEFAULT = 100
 KS_COEFF = 1.36
 THRESHOLD_SAFETY = 3.0
 
-# elements per _blocks slice and _blocks_distance block: 256 KB of float64
-_DISTANCE_BLOCK = 1 << 15
+# rows per detect segment: the unit whose gap is bounded from its first and
+# last rows, and read only when the bound can reach the supremum
+_SEGMENT = 128
+# rows per chunk of refined segments in detect and per row block in
+# classify: 256 KB of float64
+_CHUNK = 1 << 15
+# added to a segment's bound before it is compared with an exact gap: far
+# above the few ulps by which rounding can move a computed model value
+_MARGIN = 1e-9
+# a stream with more non-decreasing time runs has classify sort each category
+_MAX_RUNS = 16
 
 
 @dataclass(frozen=True)
@@ -100,12 +118,7 @@ class ClassifiedCounts:
     n0: int
 
     def __post_init__(self) -> None:
-        # unlike PopulationCurve, any non-negative measurement grid is allowed
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0 or grid[0] < 0.0:
-            raise DomainError("grid must be 1-d, non-empty, with times >= 0")
-        if np.any(np.diff(grid) <= 0.0):
-            raise DomainError("grid must be strictly increasing")
+        grid = _measurement_grid(self.grid)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "n0", _positive_n0(self.n0))
         for name in ("n1_or", "n1_pa", "n2_or", "n2_pa"):
@@ -123,6 +136,40 @@ class ClassifiedCounts:
         if h is Species.OR:
             return self.n1_or + self.n2_or
         return self.n1_pa + self.n2_pa
+
+
+def _measurement_grid(grid) -> np.ndarray:
+    """grid as a float array: 1-d, non-empty, from t >= 0, strictly
+    increasing.  Unlike PopulationCurve's, it need not start at t = 0; each
+    test is written so that a NaN point fails it."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or not grid[0] >= 0.0:
+        raise DomainError("grid must be 1-d, non-empty, with times >= 0")
+    if not np.all(np.diff(grid) > 0.0):
+        raise DomainError("grid must be strictly increasing")
+    return grid
+
+
+def _runs(events: EventStream) -> tuple | None:
+    """Bounds (0, ..., len) of the stream's non-decreasing time runs, or None
+    past _MAX_RUNS runs.  Found once per stream and kept in its __dict__, as
+    the pair join is; (0, len) is a time-ordered stream."""
+    memo = vars(events)
+    if "_runs" not in memo:
+        memo["_runs"] = _find_runs(events.time)
+    return memo["_runs"]
+
+
+def _find_runs(t: np.ndarray) -> tuple | None:
+    if _nondecreasing(t):
+        return (0, t.size)
+    cuts: list[int] = []
+    for lo, a, b in _adjacent(t):
+        drops = np.flatnonzero(b < a)
+        if len(cuts) + drops.size >= _MAX_RUNS:
+            return None
+        cuts += (lo + 1 + drops).tolist()
+    return (0, *cuts, t.size)
 
 
 def _pair_join(events: EventStream, n0: int) -> list:
@@ -195,26 +242,48 @@ def classify(events: EventStream, grid, n0: int) -> ClassifiedCounts:
     Runs the pair checks shared with estimate_rates: identities must be
     intact, pair ids must fit inside [0, n0), no pair may emit two firsts or
     two seconds, and a second must follow a first of the companion species.
+    A stream of at most _MAX_RUNS non-decreasing time runs (simulate's has
+    one, two per-side detectors' two) is counted run by run with no
+    per-category copy; any other has each category's times copied out and
+    sorted.
     """
     _pair_join(events, n0)
-    grid = np.asarray(grid, dtype=float)
-    # the pair checks passed, so a row that is not a first is a second
-    first, is_or = events.order == FIRST_CODE, events.species == OR_CODE
+    grid = _measurement_grid(grid)
+    runs = _runs(events)
+    if runs is not None:
+        counts = _run_counts(events, runs, grid)
+    else:
+        # the pair checks passed, so order << 1 | species is the category:
+        # first or, first pa, second or, second pa; np.compress, not
+        # time[mask]: the same times in row order, without the slow mask gather
+        codes = events.order << 1 | events.species
+        counts = [
+            np.searchsorted(_sorted(np.compress(codes == c, events.time)), grid, side="right")
+            for c in range(4)
+        ]
+    return ClassifiedCounts(grid, *counts, n0=n0)
 
-    def cumulative(mask: np.ndarray) -> np.ndarray:
-        # np.compress, not time[mask]: the same times in row order, without
-        # numpy's slow boolean-mask gather or a row list per category
-        times = _sorted(np.compress(mask, events.time))
-        return np.searchsorted(times, grid, side="right").astype(np.int64)
 
-    return ClassifiedCounts(
-        grid=grid,
-        n1_or=cumulative(first & is_or),
-        n1_pa=cumulative(first & ~is_or),
-        n2_or=cumulative(~first & is_or),
-        n2_pa=cumulative(~first & ~is_or),
-        n0=n0,
-    )
+def _run_counts(events: EventStream, runs: tuple, grid: np.ndarray) -> np.ndarray:
+    """Rows of each category order << 1 | species at or before each grid
+    point, (4, grid size), from the stream's non-decreasing runs: per run one
+    search of the grid, then per row block a bincount of grid segment and
+    category, and one cumulative sum at the end."""
+    time, order, species = events.time, events.order, events.species
+    tally = np.zeros((4, grid.size), dtype=np.int64)
+    for lo, hi in zip(runs[:-1], runs[1:]):
+        # rows lo..edges[i]-1 lie at or before grid[i]; later rows never count
+        edges = lo + np.searchsorted(time[lo:hi], grid, side="right")
+        end = int(edges[-1])
+        for r0 in range(lo, end, _CHUNK):
+            r1 = min(r0 + _CHUNK, end)
+            # rows r0..r1-1 first count at grid points i0..i1
+            i0, i1 = np.searchsorted(edges, [r0, r1 - 1], side="right")
+            rows = np.diff(np.clip(edges[i0 : i1 + 1], r0, r1), prepend=r0)
+            label = np.repeat(np.arange(0, 4 * rows.size, 4), rows)
+            label += order[r0:r1] << 1 | species[r0:r1]
+            tally[:, i0 : i1 + 1] += np.bincount(label, minlength=4 * rows.size).reshape(-1, 4).T
+    return np.cumsum(tally, axis=1)
 
 
 def reconstruct(counts: ClassifiedCounts) -> PopulationCurve:
@@ -250,13 +319,17 @@ def erase_identities(events: EventStream) -> EventStream:
     stream's read-only time, species and side columns.
     """
     m = len(events)
-    return EventStream(
+    erased = EventStream(
         pair_id=np.full(m, UNKNOWN_PAIR, dtype=np.int64),
         time=events.time,
         species=events.species,
         side=events.side,
         order=np.full(m, UNKNOWN_CODE, dtype=np.uint8),
     )
+    # the same time and species columns: the same runs and segment counts
+    kept = vars(events)
+    vars(erased).update({k: kept[k] for k in ("_runs", "_segment_pa") if k in kept})
+    return erased
 
 
 @dataclass(frozen=True)
@@ -346,61 +419,101 @@ def default_threshold(n0: float) -> float:
     return THRESHOLD_SAFETY * KS_COEFF / math.sqrt(_check_n0(n0))
 
 
-def _blocks(a: np.ndarray):
-    """a in consecutive slices of _DISTANCE_BLOCK elements."""
-    return (a[lo : lo + _DISTANCE_BLOCK] for lo in range(0, a.size, _DISTANCE_BLOCK))
+def _model(t: np.ndarray, gamma: float) -> np.ndarray:
+    # 1 - exp(-gamma t), by the same ufuncs on the same operands everywhere
+    m = np.multiply(t, -gamma)
+    np.expm1(m, out=m)
+    return np.negative(m, out=m)
 
 
-def _stream_distance(sorted_times: np.ndarray, n0: float, gamma: float) -> float:
-    return _blocks_distance(_blocks(sorted_times), n0, gamma)
+def _sup_distance(time, n0: float, gamma: float, counts=None, species=None, code=None) -> float:
+    """sup over t of |count(<= t)/n0 - (1 - exp(-gamma t))|, counting the
+    rows of a non-decreasing time column whose species is code (every row
+    when species is None); counts holds those rows per _SEGMENT-row segment.
 
-
-def _blocks_distance(blocks, n0: float, gamma: float) -> float:
-    # sup over t of |count(<= t)/n0 - (1 - exp(-gamma t))|, evaluated at the
-    # jump points from both sides plus the t -> infinity tail.  Blocks of at
-    # most _DISTANCE_BLOCK sorted times run the same ufuncs in reused buffers,
-    # levels from the running count; max and min are exact, so no bit moves
-    model, gap = np.empty((2, _DISTANCE_BLOCK))
-    # np.maximum keeps a NaN gap, as one max over all gaps would; a Python
-    # 0.0 seed would also turn an all-zero distance into a float
+    The supremum is taken at the jump points from both sides plus the
+    t -> infinity tail.  Inside a segment the model lies between its values
+    at the segment's first and last rows, and the levels between the counts
+    before and after the segment, which bounds every gap in it.  Segments
+    are read, a chunk at a time, only while their bound plus _MARGIN reaches
+    the largest exact gap found; those gaps run the same ufuncs on the same
+    operands as a full evaluation, and max is exact, so no bit moves.
+    """
+    n = time.size
+    if counts is None:
+        counts = _segment_sizes(n)
+    upto = np.cumsum(counts, dtype=float)  # rows counted through each segment
+    prior = upto - counts
+    k = int(upto[-1]) if n else 0
+    # a Python 0.0 seed would turn an all-zero distance into a float
     before = after = np.float64(0.0)
-    k = 0
-    for times in blocks:
-        lo, k = k, k + times.size
-        if lo == k:
-            continue
-        m, g = model[: k - lo], gap[: k - lo]
-        np.multiply(times, -gamma, out=m)
-        np.expm1(m, out=m)
-        np.negative(m, out=m)
-        # levels[j] = (lo + j) / n0, the count fraction between jumps
-        levels = np.arange(lo, k + 1, dtype=float)
-        levels /= n0
-        np.subtract(m, levels[:-1], out=g)
-        before = np.maximum(before, max(abs(g.max()), abs(g.min())))
-        np.subtract(levels[1:], m, out=g)
-        after = np.maximum(after, max(abs(g.max()), abs(g.min())))
+    tail = abs(k / n0 - 1.0)
+    if k:
+        last = time[np.minimum(np.arange(_SEGMENT, n + _SEGMENT, _SEGMENT), n) - 1]
+        bound = np.maximum(_model(last, gamma) - prior / n0, upto / n0 - _model(time[::_SEGMENT], gamma))
+        bound[counts == 0] = -np.inf
+        best = tail
+        todo = np.array([np.argmax(bound)])
+        while todo.size:
+            gaps = _segment_gaps(time, todo, prior, counts, n0, gamma, species, code)
+            before, after = np.maximum(before, gaps[0]), np.maximum(after, gaps[1])
+            best = max(best, *gaps)
+            bound[todo] = -np.inf
+            todo = np.flatnonzero(bound + _MARGIN >= best)[: _CHUNK // _SEGMENT]
     # with no times the tail, 1.0, is the distance
-    return max(before, after, abs(k / n0 - 1.0))
+    return max(before, after, tail)
+
+
+def _segment_gaps(time, seg, prior, counts, n0, gamma, species, code) -> tuple:
+    """The largest gaps left and right of the jumps in segments seg."""
+    t = _segment_rows(time, seg)
+    if species is not None:
+        t = np.compress(_segment_rows(species, seg) == code, t)
+    c = counts[seg]
+    # a row's level is the counted rows before it: those before its segment,
+    # then its rank inside the segment
+    levels = np.repeat(prior[seg] - (np.cumsum(c) - c), c)
+    levels += np.arange(t.size)
+    m = _model(t, gamma)
+    gap = m - levels / n0
+    before = np.abs(gap, out=gap).max()
+    levels += 1.0
+    np.subtract(levels / n0, m, out=gap)
+    return before, np.abs(gap, out=gap).max()
+
+
+def _segment_rows(a: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """The rows of a in the ascending segments seg, in order."""
+    whole = a.size // _SEGMENT
+    short = seg[-1] == whole  # the last segment, shorter than _SEGMENT
+    rows = a[: whole * _SEGMENT].reshape(whole, _SEGMENT)[seg[:-1] if short else seg].ravel()
+    return np.concatenate([rows, a[whole * _SEGMENT :]]) if short else rows
+
+
+def _segment_counts(events: EventStream, code: int) -> np.ndarray:
+    """Rows of the species code in each _SEGMENT-row segment of the stream.
+    The pa counts take one pass over the species column and are kept on the
+    stream; a segment holds at most _SEGMENT pa rows, so uint16 sums are
+    exact, and a sum over an axis casts in buffers, with no column copy."""
+    memo = vars(events)
+    if "_segment_pa" not in memo:
+        species = events.species
+        whole = species.size // _SEGMENT
+        pa = species[: whole * _SEGMENT].reshape(whole, _SEGMENT).sum(axis=1, dtype=np.uint16)
+        if species.size % _SEGMENT:
+            pa = np.append(pa, species[whole * _SEGMENT :].sum(dtype=np.uint16))
+        memo["_segment_pa"] = pa
+    pa = memo["_segment_pa"].astype(np.int64)
+    return pa if code == PA_CODE else _segment_sizes(len(events)) - pa
+
+
+def _segment_sizes(n: int) -> np.ndarray:
+    return np.minimum(n - np.arange(0, n, _SEGMENT), _SEGMENT)
 
 
 def _grid_distance(grid: np.ndarray, photons: np.ndarray, n0: float, gamma: float) -> float:
     model = -np.expm1(-gamma * grid)
     return float(np.max(np.abs(photons / n0 - model)))
-
-
-def _species_times(events: EventStream, code: int):
-    """A stream's species-code times in time order, in blocks: from each row
-    block when the time column never decreases, else from one sorted copy.
-    np.compress, not time[mask]: the same times, ~3x faster on a mixed stream.
-    The order check is kept on the stream, as the pair join is."""
-    memo = vars(events)
-    if "_time_sorted" not in memo:
-        memo["_time_sorted"] = _nondecreasing(events.time)
-    if memo["_time_sorted"]:
-        rows = zip(_blocks(events.species), _blocks(events.time))
-        return (np.compress(species == code, time) for species, time in rows)
-    return _blocks(_sorted(np.compress(events.species == code, events.time)))
 
 
 def product_model_distance(source, n0: float, h: Species, gamma: float) -> float:
@@ -411,10 +524,15 @@ def product_model_distance(source, n0: float, h: Species, gamma: float) -> float
     the grid points.
     """
     _check_n0(n0)
-    if gamma <= 0:
-        raise DomainError("gamma must be positive")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise DomainError("gamma must be finite and positive")
     if isinstance(source, EventStream):
-        return _blocks_distance(_species_times(source, SPECIES_CODE[h]), n0, gamma)
+        code = SPECIES_CODE[h]
+        if len(_runs(source) or ()) == 2:
+            counts = _segment_counts(source, code)
+            return _sup_distance(source.time, n0, gamma, counts, source.species, code)
+        # np.compress, not time[mask]: the same times, ~3x faster on a mixed stream
+        return _sup_distance(_sorted(np.compress(source.species == code, source.time)), n0, gamma)
     if not isinstance(source, (ClassifiedCounts, PopulationCurve)):
         raise DomainError("source must be an EventStream, ClassifiedCounts, or PopulationCurve")
     return _grid_distance(source.grid, np.asarray(source.photons(h), dtype=float), n0, gamma)
@@ -423,8 +541,7 @@ def product_model_distance(source, n0: float, h: Species, gamma: float) -> float
 def _companion_mass(source, h: Species, n0: float) -> float:
     # source has passed product_model_distance's type check
     if isinstance(source, EventStream):
-        code = SPECIES_CODE[h]
-        return sum(int(np.count_nonzero(s == code)) for s in _blocks(source.species)) / n0
+        return int(_segment_counts(source, SPECIES_CODE[h]).sum()) / n0
     photons = source.photons(h)
     return float(np.max(photons)) / n0 if len(photons) else 0.0
 
@@ -445,9 +562,12 @@ def detect(
     the band or when fewer than min_pairs pairs were prepared.  A gridded
     source takes any finite n0 > 0; a stream counts its pairs, so its n0
     must be a whole number below 2**63, which the rate fit then receives
-    exactly.  A stream whose time column never decreases, as simulate's, is
-    read in row blocks without copying a species' times; any other stream
-    has each species' times compressed out and sorted first.
+    exactly.  On a stream whose time column never decreases, as simulate's,
+    each species' sup-norm gap is bounded per segment of rows from one count
+    of the species column, and computed exactly only in the few segments
+    whose bound can reach the supremum; any other stream has each species'
+    times compressed out and sorted first, and the same bounds then run on
+    that copy.  The result is bit for bit the full evaluation's.
     """
     _check_n0(n0)
     fit_args = None

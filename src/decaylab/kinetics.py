@@ -165,13 +165,14 @@ def product_photons(t, h: Species, n0: float, rates: RateSet):
 
 
 def _validate_grid(grid) -> np.ndarray:
-    """grid as a float array: non-empty, 1-d, from t = 0, strictly increasing."""
+    """grid as a float array: non-empty, 1-d, from t = 0, strictly increasing
+    (written so that a NaN point fails)."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise DomainError("grid must be a non-empty 1-d array")
     if grid[0] != 0.0:
         raise DomainError("grid must start at t = 0")
-    if np.any(np.diff(grid) <= 0.0):
+    if not np.all(np.diff(grid) > 0.0):
         raise DomainError("grid must be strictly increasing")
     return grid
 

@@ -34,7 +34,7 @@ from decaylab import (
     reconstruct,
     simulate,
 )
-from decaylab.analyzer import _DISTANCE_BLOCK, _stream_distance
+from decaylab.analyzer import _CHUNK, _SEGMENT, _runs, _segment_gaps, _sup_distance
 from decaylab.montecarlo import (
     FIRST_CODE,
     L_CODE,
@@ -334,6 +334,20 @@ def test_classified_counts_validation():
         ClassifiedCounts(grid, np.array([3, 3]), np.array([3, 3]), zeros, zeros, n0=5)
     with pytest.raises(DomainError):
         ClassifiedCounts(np.array([1.5, 0.5]), zeros, zeros, zeros, zeros, n0=5)
+    for nan_grid in ([0.5, np.nan], [np.nan, 0.5], [np.nan, np.nan]):
+        with pytest.raises(DomainError):
+            ClassifiedCounts(np.array(nan_grid), zeros, zeros, zeros, zeros, n0=5)
+    with pytest.raises(DomainError):
+        ClassifiedCounts(np.array([np.nan]), zeros[:1], zeros[:1], zeros[:1], zeros[:1], n0=5)
+
+
+@pytest.mark.parametrize("grid", [[0.0, np.nan], [np.nan, 1.0], [0.0, 1.0, np.nan, 3.0]])
+def test_classify_rejects_nan_grid_points(grid):
+    # NaN once passed the diff <= 0 test: classify counted, and reconstruct
+    # built a PopulationCurve with a NaN time
+    stream, _ = simulate(Scenario(n0=200, rates=RS11, seed=3))
+    with pytest.raises(DomainError, match="grid"):
+        classify(stream, grid, 200)
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +589,17 @@ def test_detect_validation():
         product_model_distance(curve, 1000.0, Species.OR, 0.0)
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("kind", ["stream", "curve"])
+def test_product_model_distance_needs_a_finite_positive_gamma(kind, gamma):
+    # an infinite gamma once gave 1.0 on a stream but NaN and a
+    # RuntimeWarning on a curve; NaN passed the gamma <= 0 test
+    sc = Scenario(n0=1000, rates=RS11, t_max=10.0, seed=2)
+    source = simulate(sc)[0] if kind == "stream" else evaluate_curve(sc)
+    with pytest.raises(DomainError, match="gamma"):
+        product_model_distance(source, 1000, Species.OR, gamma)
+
+
 def _stream_distance_reference(sorted_times, n0, gamma):
     # the plain form of the sup distance, one temporary per step
     k = sorted_times.size
@@ -596,7 +621,7 @@ def _stream_distance_reference(sorted_times, n0, gamma):
 )
 def test_stream_distance_matches_reference_bits(times, n0, gamma):
     times = np.array(times, dtype=float)
-    got = _stream_distance(times, n0, gamma)
+    got = _sup_distance(times, n0, gamma)
     want = _stream_distance_reference(times, n0, gamma)
     assert type(got) is type(want)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -607,13 +632,13 @@ def test_stream_distance_matches_reference_bits(times, n0, gamma):
 )
 @pytest.mark.parametrize("n0_kind", ["k", "float"])
 def test_stream_distance_matches_reference_across_blocks(k, n0_kind):
-    assert _DISTANCE_BLOCK == 2**15
+    assert _CHUNK == 2**15 and _CHUNK % _SEGMENT == 0
     rng = np.random.default_rng(k)
     # exact ties and zeros at the front, so equal times straddle block edges
     times = np.sort(np.round(rng.exponential(1.0, k), 3))
     n0 = max(k, 1) if n0_kind == "k" else 1.7 * k + 0.3
     for gamma in (0.5, 1.0, 37.0):
-        got = _stream_distance(times, n0, gamma)
+        got = _sup_distance(times, n0, gamma)
         want = _stream_distance_reference(times, n0, gamma)
         assert type(got) is type(want)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -624,11 +649,11 @@ def test_stream_distance_counts_every_row_at_block_edges(k):
     # zeros before row p, then times so late that the model is 1: the sup is
     # the gap 1 - p / n0 at row p, so it moves if a block skips row p
     n0 = 2.0 * k
-    block = _DISTANCE_BLOCK
+    block = _CHUNK
     for p in sorted({1, block - 1, block, block + 1, 2 * block, 3 * block, k - 1} & set(range(1, k))):
         times = np.zeros(k)
         times[p:] = 1e3
-        got = _stream_distance(times, n0, 1.0)
+        got = _sup_distance(times, n0, 1.0)
         assert np.float64(got).tobytes() == np.float64(1.0 - p / n0).tobytes()
         assert np.float64(got).tobytes() == np.float64(
             _stream_distance_reference(times, n0, 1.0)
@@ -774,7 +799,7 @@ def _materialised_detect(stream, n0, rates):
     distances = {}
     for h, gamma in ((Species.OR, rates.gamma_or), (Species.PA, rates.gamma_pa)):
         code = OR_CODE if h is Species.OR else PA_CODE
-        shape = _stream_distance(np.sort(np.compress(stream.species == code, stream.time)), n0, gamma)
+        shape = _sup_distance(np.sort(np.compress(stream.species == code, stream.time)), n0, gamma)
         mass = int(np.count_nonzero(stream.species != code)) / n0
         distances[f"shape_{h.value}"] = shape
         distances[f"mass_{h.companion().value}"] = mass
@@ -793,8 +818,8 @@ def _blocked_case(k, absent):
     species = rng.integers(0, 2, k).astype(np.uint8)
     if absent:
         # pa is absent from the first row block and or from the second
-        species[: _DISTANCE_BLOCK + 5] = OR_CODE
-        species[_DISTANCE_BLOCK + 5 : 2 * _DISTANCE_BLOCK + 9] = PA_CODE
+        species[: _CHUNK + 5] = OR_CODE
+        species[_CHUNK + 5 : 2 * _CHUNK + 9] = PA_CODE
     erased = np.full(k, -1)
     return EventStream(erased, time, species, rng.integers(0, 2, k), np.full(k, 2))
 
@@ -806,7 +831,7 @@ def _blocked_case(k, absent):
     ids=lambda v: str(v),
 )
 def test_blocked_detect_matches_the_materialised_path(k, absent):
-    assert _DISTANCE_BLOCK == 2**15
+    assert _CHUNK == 2**15 and _CHUNK % _SEGMENT == 0
     stream = _blocked_case(k, absent)
     rates = RateSet(1.3, 0.7)
     for n0 in (max(k // 2, 1), 3 * k + 1):
@@ -847,6 +872,117 @@ def test_detect_checks_a_stream_order_once(analyzer_streams, name):
         )
 
 
+@pytest.mark.parametrize("name", ["time_ordered", "side_ordered"])
+def test_erased_copy_keeps_the_stream_order_check(analyzer_streams, name):
+    # erase_identities shares the time column, so it passes on the kept runs
+    n0, rates, _, streams = analyzer_streams
+    stream = _fresh(streams[name])
+    with mock.patch("decaylab.analyzer._nondecreasing", wraps=_nondecreasing) as check:
+        direct = detect(stream, n0, rates)
+        blind = detect(erase_identities(stream), n0, rates)
+    assert check.call_count == 1
+    assert _typed_bits(blind.distances.values()) == _typed_bits(direct.distances.values())
+
+
+def _segment_case(seed, size, gamma_or, gamma_pa, absent):
+    """A time-ordered stream of size rows: product-like times, so many
+    segments' bounds reach the supremum, rounded so that ties cross segment
+    edges, and whole segments of one species when absent is set."""
+    rng = np.random.default_rng(seed)
+    species = rng.integers(0, 2, size).astype(np.uint8)
+    if absent:
+        per_segment = rng.integers(0, 3, -(-size // _SEGMENT))
+        for code in (OR_CODE, PA_CODE):
+            rows = np.repeat(per_segment == code + 1, _SEGMENT)[:size]
+            species[rows] = code
+    rates = np.where(species == OR_CODE, gamma_or, gamma_pa)
+    time = np.round(rng.exponential(1.0, size) / rates, int(rng.integers(2, 6)))
+    order = np.argsort(time, kind="stable")
+    blank = np.full(size, -1)
+    return EventStream(blank, time[order], species[order], np.zeros(size), np.full(size, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    # sizes at a multiple of _SEGMENT and one off it, up to several chunks
+    st.sampled_from([0, 1, 2, 7, 300])
+    .flatmap(lambda m: st.sampled_from([m * _SEGMENT - 1, m * _SEGMENT, m * _SEGMENT + 1]))
+    .map(lambda k: max(k, 0))
+    | st.integers(0, 3 * _SEGMENT),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-3, 1e3),
+    st.booleans(),
+    st.sampled_from([0.25, 1.0, 1.01, 4.0]) | st.floats(0.05, 4.0),
+)
+def test_segment_bounds_match_the_reference_bits(seed, size, gamma_or, gamma_pa, absent, scale):
+    # n0 below and above the or photon count; near it, or matches its own
+    # product model to fluctuation scale, and many segments are read
+    stream = _segment_case(seed, size, gamma_or, gamma_pa, absent)
+    n0 = max(round(scale * np.count_nonzero(stream.species == OR_CODE)), 1)
+    # the rows reversed: one run per distinct time, so the sort path
+    reverse = EventStream(*(getattr(stream, c)[::-1] for c in COLUMNS))
+    for h, code, gamma in ((Species.OR, OR_CODE, gamma_or), (Species.PA, PA_CODE, gamma_pa)):
+        want = _stream_distance_reference(np.sort(stream.time[stream.species == code]), n0, gamma)
+        for source in (stream, reverse):
+            got = product_model_distance(source, n0, h, gamma)
+            assert _typed_bits([got]) == _typed_bits([want])
+    verdict = detect(stream, n0, RateSet(gamma_or, gamma_pa), min_pairs=1)
+    for h, code in ((Species.OR, OR_CODE), (Species.PA, PA_CODE)):
+        mass = int(np.count_nonzero(stream.species == code)) / n0
+        assert _typed_bits([verdict.distances[f"mass_{h.value}"]]) == _typed_bits([mass])
+
+
+@pytest.mark.parametrize("k", [2**15 + 1, 3 * 2**15 + 7])
+def test_segment_bounds_read_a_quantile_stream_chunk_by_chunk(k):
+    # times at the model's quantiles keep every gap within 1/n0 of the
+    # supremum, so every segment's bound reaches it and all are read
+    times = -np.log1p(-(np.arange(k) + 0.5) / k)
+    with mock.patch("decaylab.analyzer._segment_gaps", wraps=_segment_gaps) as read:
+        got = _sup_distance(times, k, 1.0)
+    read_segments = sum(call.args[1].size for call in read.call_args_list)
+    assert read_segments == -(-k // _SEGMENT)
+    assert read.call_count >= 1 + read_segments // (_CHUNK // _SEGMENT)
+    assert _typed_bits([got]) == _typed_bits([_stream_distance_reference(times, k, 1.0)])
+
+
+def _runs_stream(seed, n0, runs):
+    """A simulated stream in 1, 2 or many non-decreasing time runs."""
+    stream, _ = simulate(Scenario(n0=n0, rates=RateSet(1.3, 0.6, w_or=0.2), seed=seed))
+    rng = np.random.default_rng(seed)
+    if runs == "shuffled":
+        order = rng.permutation(len(stream))
+    else:
+        # rows split by a random key into runs, each kept in time order
+        key = rng.integers(0, runs, len(stream))
+        order = np.lexsort((np.arange(len(stream)), key))
+    return EventStream(*(getattr(stream, c)[order] for c in COLUMNS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3000),
+    st.sampled_from([1, 2, 5, "shuffled"]),
+    st.integers(1, 40),
+    st.booleans(),
+)
+def test_classify_by_runs_matches_the_reference(seed, n0, runs, points, on_events):
+    stream = _runs_stream(seed, n0, runs)
+    if runs != "shuffled":
+        assert len(_runs(stream)) <= runs + 1
+    rng = np.random.default_rng(seed + 1)
+    grid = np.sort(rng.uniform(0.0, 6.0, points))
+    if on_events and len(stream):
+        # grid points on event times, where "at or before" decides the count
+        grid = np.union1d(grid, rng.choice(stream.time, min(points, len(stream))))
+    grid = np.unique(grid)
+    counts = classify(stream, grid, n0)
+    got = [counts.n1_or, counts.n1_pa, counts.n2_or, counts.n2_pa]
+    for have, want in zip(got, _classify_reference(stream, grid)):
+        assert have.dtype == np.int64 and np.array_equal(have, want)
+
+
 def test_detect_on_a_time_ordered_stream_copies_no_column(million_pair_streams):
     # row blocks, not a mask, an index array and a compressed copy per
     # species (18 MB at 1e6 pairs)
@@ -854,6 +990,20 @@ def test_detect_on_a_time_ordered_stream_copies_no_column(million_pair_streams):
     tracemalloc.start()
     try:
         detect(streams["time_ordered"], n0, rates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_detect_on_a_fresh_stream_copies_no_column(million_pair_streams):
+    # cold: the order check and the segment counts are found inside the
+    # traced call, and the count pass must not cast the species column whole
+    n0, rates, _, streams = million_pair_streams
+    stream = _fresh(streams["time_ordered"])
+    tracemalloc.start()
+    try:
+        detect(stream, n0, rates)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

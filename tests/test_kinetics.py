@@ -251,7 +251,7 @@ def test_evaluate_curve_single_point_grid():
 
 def test_evaluate_curve_rejects_bad_grids():
     sc = Scenario(n0=1000, rates=RateSet(1.0, 1.0))
-    for bad in ([], [0.5, 1.0], [0.0, 1.0, 1.0], [0.0, -1.0]):
+    for bad in ([], [0.5, 1.0], [0.0, 1.0, 1.0], [0.0, -1.0], [0.0, float("nan")], [0.0, float("nan"), 2.0]):
         with pytest.raises(DomainError):
             evaluate_curve(sc, grid=bad)
 
@@ -263,6 +263,11 @@ def test_population_curve_validation():
         PopulationCurve(grid, np.array([1.0, -0.5]), good, good, good, good, n0=1000)
     with pytest.raises(DomainError):
         PopulationCurve(grid, np.zeros(3), good, good, good, good, n0=1000)
+    # NaN once passed the diff <= 0 test
+    for nan_grid in ([0.0, np.nan], [np.nan, 1.0], [0.0, np.nan, 2.0]):
+        rows = np.zeros(len(nan_grid))
+        with pytest.raises(DomainError):
+            PopulationCurve(np.array(nan_grid), rows, rows, rows, rows, rows, n0=1000)
     curve = PopulationCurve(grid, good, good, good, good, good, n0=1000)
     assert curve.survivors(Species.OR) is curve.n_or
     assert curve.photons(Species.PA) is curve.N_pa
