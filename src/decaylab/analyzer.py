@@ -528,7 +528,7 @@ def product_model_distance(source, n0: float, h: Species, gamma: float) -> float
         raise DomainError("gamma must be finite and positive")
     if isinstance(source, EventStream):
         code = SPECIES_CODE[h]
-        if len(_runs(source) or ()) == 2:
+        if len(_runs(source) or ()) == 2:  # one run: the times never decrease
             counts = _segment_counts(source, code)
             return _sup_distance(source.time, n0, gamma, counts, source.species, code)
         # np.compress, not time[mask]: the same times, ~3x faster on a mixed stream
