@@ -30,12 +30,12 @@ half its photons in the companion species of every hypothesis, pinning the
 statistic near one.  The verdict bands the statistic against a threshold,
 by default three times the 95% Kolmogorov fluctuation scale 1.36/sqrt(n0).
 
-Both scans pay only for the rows they must read.  A stream's non-decreasing
-time runs are found once and kept on it: classify counts a stream of few
-runs by searching the grid in each run and tallying codes per grid segment.
-On a time-ordered stream detect bounds the gap of every segment of _SEGMENT
-rows from its first and last times and the counts around it, and evaluates
-the gaps exactly only in segments whose bound can reach the supremum.
+Both scans read one time-ordered view of a stream, kept on it: its own
+columns when its times never decrease, as simulate's, else one key sort's
+gather of them.  classify searches the grid in the view and tallies codes per
+grid segment.  detect bounds the gap of every segment of _SEGMENT rows from
+its first and last times and the counts around it, and evaluates the gaps
+exactly only in segments whose bound can reach the supremum.
 """
 
 from __future__ import annotations
@@ -63,9 +63,8 @@ from .montecarlo import (
     UNKNOWN_CODE,
     UNKNOWN_PAIR,
     EventStream,
-    _adjacent,
     _nondecreasing,
-    _sorted,
+    _time_order,
 )
 from .rates import RateSet, Species
 
@@ -96,14 +95,12 @@ THRESHOLD_SAFETY = 3.0
 # rows per detect segment: the unit whose gap is bounded from its first and
 # last rows, and read only when the bound can reach the supremum
 _SEGMENT = 128
-# rows per chunk of refined segments in detect and per row block in
-# classify: 256 KB of float64
+# rows per chunk of refined segments in detect and per row block of the
+# time-ordered view in classify: 256 KB of float64
 _CHUNK = 1 << 15
 # added to a segment's bound before it is compared with an exact gap: far
 # above the few ulps by which rounding can move a computed model value
 _MARGIN = 1e-9
-# a stream with more non-decreasing time runs has classify sort each category
-_MAX_RUNS = 16
 
 
 @dataclass(frozen=True)
@@ -150,26 +147,19 @@ def _measurement_grid(grid) -> np.ndarray:
     return grid
 
 
-def _runs(events: EventStream) -> tuple | None:
-    """Bounds (0, ..., len) of the stream's non-decreasing time runs, or None
-    past _MAX_RUNS runs.  Found once per stream and kept in its __dict__, as
-    the pair join is; (0, len) is a time-ordered stream."""
+def _ordered(events: EventStream) -> tuple:
+    """The stream's (time, species, order) columns in time order: its own
+    columns when its time never decreases, else one key sort of the time
+    column and a gather of the other two.  Found once per stream and kept in
+    its __dict__, as the pair join is."""
     memo = vars(events)
-    if "_runs" not in memo:
-        memo["_runs"] = _find_runs(events.time)
-    return memo["_runs"]
-
-
-def _find_runs(t: np.ndarray) -> tuple | None:
-    if _nondecreasing(t):
-        return (0, t.size)
-    cuts: list[int] = []
-    for lo, a, b in _adjacent(t):
-        drops = np.flatnonzero(b < a)
-        if len(cuts) + drops.size >= _MAX_RUNS:
-            return None
-        cuts += (lo + 1 + drops).tolist()
-    return (0, *cuts, t.size)
+    if "_ordered" not in memo:
+        columns = events.time, events.species, events.order
+        if not _nondecreasing(events.time):
+            idx, time = _time_order(events.time)
+            columns = time, events.species.take(idx), events.order.take(idx)
+        memo["_ordered"] = columns
+    return memo["_ordered"]
 
 
 def _pair_join(events: EventStream, n0: int) -> list:
@@ -181,14 +171,15 @@ def _pair_join(events: EventStream, n0: int) -> list:
     two seconds, a first for every second, of the companion species and not
     later than the second.  The join does not depend on n0: it is computed
     once per stream and kept in its __dict__ as scalars (the pair-id count,
-    then its first error or its sums), which its read-only columns keep valid.
+    then its first error or its sums), or as None when identities are erased,
+    which its read-only columns keep valid.
     """
-    if not events.has_identities:
-        raise UnclassifiableError("stream has erased pair identities")
-    n0 = _positive_n0(n0)
     memo = vars(events)
     if "_pair_join" not in memo:
-        memo["_pair_join"] = _join(events)
+        memo["_pair_join"] = _join(events) if events.has_identities else None
+    if memo["_pair_join"] is None:
+        raise UnclassifiableError("stream has erased pair identities")
+    n0 = _positive_n0(n0)
     n_ids, error, *sums = memo["_pair_join"]
     if n_ids > n0:
         raise DataError("pair ids must lie in [0, n0)")
@@ -242,47 +233,31 @@ def classify(events: EventStream, grid, n0: int) -> ClassifiedCounts:
     Runs the pair checks shared with estimate_rates: identities must be
     intact, pair ids must fit inside [0, n0), no pair may emit two firsts or
     two seconds, and a second must follow a first of the companion species.
-    A stream of at most _MAX_RUNS non-decreasing time runs (simulate's has
-    one, two per-side detectors' two) is counted run by run with no
-    per-category copy; any other has each category's times copied out and
-    sorted.
+    The counts come from the stream's time-ordered view, with no
+    per-category copy.
     """
     _pair_join(events, n0)
     grid = _measurement_grid(grid)
-    runs = _runs(events)
-    if runs is not None:
-        counts = _run_counts(events, runs, grid)
-    else:
-        # the pair checks passed, so order << 1 | species is the category:
-        # first or, first pa, second or, second pa; np.compress, not
-        # time[mask]: the same times in row order, without the slow mask gather
-        codes = events.order << 1 | events.species
-        counts = [
-            np.searchsorted(_sorted(np.compress(codes == c, events.time)), grid, side="right")
-            for c in range(4)
-        ]
-    return ClassifiedCounts(grid, *counts, n0=n0)
+    return ClassifiedCounts(grid, *_run_counts(*_ordered(events), grid), n0=n0)
 
 
-def _run_counts(events: EventStream, runs: tuple, grid: np.ndarray) -> np.ndarray:
+def _run_counts(time, species, order, grid: np.ndarray) -> np.ndarray:
     """Rows of each category order << 1 | species at or before each grid
-    point, (4, grid size), from the stream's non-decreasing runs: per run one
-    search of the grid, then per row block a bincount of grid segment and
-    category, and one cumulative sum at the end."""
-    time, order, species = events.time, events.order, events.species
+    point, (4, grid size), from time-ordered columns: one search of the grid,
+    then per row block a bincount of grid segment and category, and one
+    cumulative sum at the end."""
     tally = np.zeros((4, grid.size), dtype=np.int64)
-    for lo, hi in zip(runs[:-1], runs[1:]):
-        # rows lo..edges[i]-1 lie at or before grid[i]; later rows never count
-        edges = lo + np.searchsorted(time[lo:hi], grid, side="right")
-        end = int(edges[-1])
-        for r0 in range(lo, end, _CHUNK):
-            r1 = min(r0 + _CHUNK, end)
-            # rows r0..r1-1 first count at grid points i0..i1
-            i0, i1 = np.searchsorted(edges, [r0, r1 - 1], side="right")
-            rows = np.diff(np.clip(edges[i0 : i1 + 1], r0, r1), prepend=r0)
-            label = np.repeat(np.arange(0, 4 * rows.size, 4), rows)
-            label += order[r0:r1] << 1 | species[r0:r1]
-            tally[:, i0 : i1 + 1] += np.bincount(label, minlength=4 * rows.size).reshape(-1, 4).T
+    # rows before edges[i] lie at or before grid[i]; later rows never count
+    edges = np.searchsorted(time, grid, side="right")
+    end = int(edges[-1])
+    for r0 in range(0, end, _CHUNK):
+        r1 = min(r0 + _CHUNK, end)
+        # rows r0..r1-1 first count at grid points i0..i1
+        i0, i1 = np.searchsorted(edges, [r0, r1 - 1], side="right")
+        rows = np.diff(np.clip(edges[i0 : i1 + 1], r0, r1), prepend=r0)
+        label = np.repeat(np.arange(0, 4 * rows.size, 4), rows)
+        label += order[r0:r1] << 1 | species[r0:r1]
+        tally[:, i0 : i1 + 1] += np.bincount(label, minlength=4 * rows.size).reshape(-1, 4).T
     return np.cumsum(tally, axis=1)
 
 
@@ -326,9 +301,11 @@ def erase_identities(events: EventStream) -> EventStream:
         side=events.side,
         order=np.full(m, UNKNOWN_CODE, dtype=np.uint8),
     )
-    # the same time and species columns: the same runs and segment counts
+    # the same time and species columns: the same time-ordered view and
+    # segment counts; the view's order column is never read for it, since
+    # classify stops at the erased identities first
     kept = vars(events)
-    vars(erased).update({k: kept[k] for k in ("_runs", "_segment_pa") if k in kept})
+    vars(erased).update({k: kept[k] for k in ("_ordered", "_segment_pa") if k in kept})
     return erased
 
 
@@ -491,13 +468,14 @@ def _segment_rows(a: np.ndarray, seg: np.ndarray) -> np.ndarray:
 
 
 def _segment_counts(events: EventStream, code: int) -> np.ndarray:
-    """Rows of the species code in each _SEGMENT-row segment of the stream.
-    The pa counts take one pass over the species column and are kept on the
-    stream; a segment holds at most _SEGMENT pa rows, so uint16 sums are
-    exact, and a sum over an axis casts in buffers, with no column copy."""
+    """Rows of the species code in each _SEGMENT-row segment of the stream's
+    time-ordered view.  The pa counts take one pass over its species column
+    and are kept on the stream; a segment holds at most _SEGMENT pa rows, so
+    uint16 sums are exact, and a sum over an axis casts in buffers, with no
+    column copy."""
     memo = vars(events)
     if "_segment_pa" not in memo:
-        species = events.species
+        species = _ordered(events)[1]
         whole = species.size // _SEGMENT
         pa = species[: whole * _SEGMENT].reshape(whole, _SEGMENT).sum(axis=1, dtype=np.uint16)
         if species.size % _SEGMENT:
@@ -520,19 +498,16 @@ def product_model_distance(source, n0: float, h: Species, gamma: float) -> float
     """Sup-norm distance of the species-h photon record from the one-species
     product model n0 (1 - exp(-gamma t)).
 
-    For streams the supremum is exact; for gridded sources it is taken over
-    the grid points.
+    For streams the supremum is exact, taken over the stream's time-ordered
+    view; for gridded sources it is taken over the grid points.
     """
     _check_n0(n0)
     if not (gamma > 0 and math.isfinite(gamma)):
         raise DomainError("gamma must be finite and positive")
     if isinstance(source, EventStream):
         code = SPECIES_CODE[h]
-        if len(_runs(source) or ()) == 2:  # one run: the times never decrease
-            counts = _segment_counts(source, code)
-            return _sup_distance(source.time, n0, gamma, counts, source.species, code)
-        # np.compress, not time[mask]: the same times, ~3x faster on a mixed stream
-        return _sup_distance(_sorted(np.compress(source.species == code, source.time)), n0, gamma)
+        time, species, _ = _ordered(source)
+        return _sup_distance(time, n0, gamma, _segment_counts(source, code), species, code)
     if not isinstance(source, (ClassifiedCounts, PopulationCurve)):
         raise DomainError("source must be an EventStream, ClassifiedCounts, or PopulationCurve")
     return _grid_distance(source.grid, np.asarray(source.photons(h), dtype=float), n0, gamma)
@@ -562,12 +537,12 @@ def detect(
     the band or when fewer than min_pairs pairs were prepared.  A gridded
     source takes any finite n0 > 0; a stream counts its pairs, so its n0
     must be a whole number below 2**63, which the rate fit then receives
-    exactly.  On a stream whose time column never decreases, as simulate's,
+    exactly.  On the stream's time-ordered view (its own columns when its
+    times never decrease, as simulate's; one key sort kept on it otherwise),
     each species' sup-norm gap is bounded per segment of rows from one count
     of the species column, and computed exactly only in the few segments
-    whose bound can reach the supremum; any other stream has each species'
-    times compressed out and sorted first, and the same bounds then run on
-    that copy.  The result is bit for bit the full evaluation's.
+    whose bound can reach the supremum.  The result is bit for bit the full
+    evaluation's.
     """
     _check_n0(n0)
     fit_args = None

@@ -126,9 +126,9 @@ class EventStream:
     level; pair_id is UNKNOWN_PAIR and order UNKNOWN_CODE after identity
     erasure.  Rows produced by simulate are sorted by time (ties broken by
     pair then order).  Columns are read-only views, so analyzer's pair join
-    and time-order check run once per stream; writing into a column raises
-    ValueError, and mutating the arrays passed in after construction is
-    unsupported.
+    and time-ordered view are built once per stream; writing into a column
+    raises ValueError, and mutating the arrays passed in after construction
+    is unsupported.
     """
 
     pair_id: np.ndarray
@@ -262,13 +262,6 @@ def _time_order(
 def _nondecreasing(t: np.ndarray) -> bool:
     """True when t never decreases."""
     return all(np.all(b >= a) for _, a, b in _adjacent(t))
-
-
-def _sorted(t: np.ndarray) -> np.ndarray:
-    """t, sorted in place unless it never decreases already."""
-    if not _nondecreasing(t):
-        t.sort()
-    return t
 
 
 def _default_t_max(rates: RateSet) -> float:
@@ -563,17 +556,15 @@ def _category_counts(
 
     On a non-decreasing time column the rows at or before a grid point are a
     prefix, so one binary search per grid point finds its length, and a
-    category's count is the number of its rows inside that prefix.  Other
-    streams sort each category's times.
+    category's count is the number of its rows inside that prefix.  Any other
+    column is put in time order first, by one key sort and a gather of the
+    categories.
     """
-    if _nondecreasing(t):
-        pos = np.searchsorted(t, grid, side="right")
-        return [np.searchsorted(np.flatnonzero(categories == c), pos) for c in range(k)]
-    return [
-        # np.compress, not t[mask]: the same times, without the slow mask gather
-        np.searchsorted(_sorted(np.compress(categories == c, t)), grid, side="right")
-        for c in range(k)
-    ]
+    if not _nondecreasing(t):
+        idx, t = _time_order(t)
+        categories = categories.take(idx)
+    pos = np.searchsorted(t, grid, side="right")
+    return [np.searchsorted(np.flatnonzero(categories == c), pos) for c in range(k)]
 
 
 def histogram(
@@ -587,9 +578,8 @@ def histogram(
     Counting rests on the pair structure: a first emission of species H both
     removes an entangled pair and creates a lone companion(H) survivor; the
     matching second emission removes that survivor again.  All counts come
-    from binary searches, over the time column when it is sorted and over
-    per-category sorted times otherwise, so they are exact integers and
-    conservation holds identically.
+    from binary searches over the time column, put in time order first when
+    it is not, so they are exact integers and conservation holds identically.
     """
     grid = np.asarray(grid, dtype=float)
     n0 = _positive_n0(n0)

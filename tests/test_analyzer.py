@@ -34,7 +34,7 @@ from decaylab import (
     reconstruct,
     simulate,
 )
-from decaylab.analyzer import _CHUNK, _SEGMENT, _runs, _segment_gaps, _sup_distance
+from decaylab.analyzer import _CHUNK, _SEGMENT, _segment_gaps, _sup_distance
 from decaylab.montecarlo import (
     FIRST_CODE,
     L_CODE,
@@ -43,6 +43,7 @@ from decaylab.montecarlo import (
     R_CODE,
     SECOND_CODE,
     _nondecreasing,
+    _time_order,
 )
 
 RS11 = RateSet(1.0, 1.0)
@@ -240,6 +241,26 @@ def test_pair_join_memo_matches_fresh_streams(case, other_n0, classify_first):
     for m in (other_n0, n0, other_n0):
         for call in calls:
             assert _outcome(lambda: call(stream, m)) == _outcome(lambda: call(_fresh(stream), m))
+
+
+@pytest.mark.parametrize("erased", [False, True], ids=["identified", "erased"])
+def test_identities_are_scanned_once_per_stream(erased):
+    stream, _ = simulate(Scenario(n0=300, rates=RS11, seed=5))
+    if erased:
+        stream = erase_identities(stream)
+    scan = mock.Mock(wraps=EventStream.has_identities.fget)
+    with mock.patch.object(EventStream, "has_identities", property(scan)):
+        for _ in range(3):
+            for call in (
+                lambda: classify(stream, [1.0], 300),
+                lambda: estimate_rates(stream, 300, min_pairs=1),
+            ):
+                if erased:
+                    with pytest.raises(UnclassifiableError):
+                        call()
+                else:
+                    call()
+    assert scan.call_count == 1
 
 
 def _sparse(stream, scale=10**12):
@@ -836,7 +857,7 @@ def test_blocked_detect_matches_the_materialised_path(k, absent):
     rates = RateSet(1.3, 0.7)
     for n0 in (max(k // 2, 1), 3 * k + 1):
         # a sorted stream is read in row blocks and never sorted
-        with mock.patch("decaylab.analyzer._sorted", side_effect=AssertionError):
+        with mock.patch("decaylab.analyzer._time_order", side_effect=AssertionError):
             verdict = detect(stream, n0, rates, min_pairs=1)
         statistic, distances = _materialised_detect(stream, n0, rates)
         assert _typed_bits([verdict.statistic]) == _typed_bits([statistic])
@@ -844,16 +865,37 @@ def test_blocked_detect_matches_the_materialised_path(k, absent):
         assert _typed_bits(verdict.distances.values()) == _typed_bits(distances.values())
 
 
-def test_side_ordered_stream_keeps_the_sort_path(million_pair_streams):
+def test_side_ordered_stream_is_sorted_once(million_pair_streams):
+    # classify, the fit, detect and detect on the erased copy share one view
+    n0, rates, grid, streams = million_pair_streams
+    stream = _fresh(streams["side_ordered"])
+    with mock.patch("decaylab.analyzer._time_order", wraps=_time_order) as sort:
+        counts = classify(stream, grid, n0)
+        estimate_rates(stream, n0)
+        by_side = detect(stream, n0, rates)
+        blind = detect(erase_identities(stream), n0, rates)
+    assert sort.call_count == 1
+    by_time = detect(streams["time_ordered"], n0, rates)
+    want = classify(streams["time_ordered"], grid, n0)
+    for name in ("n1_or", "n1_pa", "n2_or", "n2_pa"):
+        assert np.array_equal(getattr(counts, name), getattr(want, name))
+    for verdict in (by_side, blind):
+        assert _typed_bits([verdict.statistic]) == _typed_bits([by_time.statistic])
+        assert _typed_bits(verdict.distances.values()) == _typed_bits(by_time.distances.values())
+
+
+def test_detect_on_a_fresh_side_ordered_stream_keeps_one_view(million_pair_streams):
+    # cold: the key sort's 8 B/row keys and the kept 10 B/row view (time,
+    # species, order), and no other column-sized copy
     n0, rates, _, streams = million_pair_streams
-    verdicts = {}
-    for name in ("time_ordered", "side_ordered"):
-        with mock.patch("decaylab.analyzer._sorted", wraps=np.sort) as sort:
-            verdicts[name] = detect(streams[name], n0, rates)
-        assert sort.call_count == (2 if name == "side_ordered" else 0)
-    by_time, by_side = verdicts["time_ordered"], verdicts["side_ordered"]
-    assert _typed_bits([by_side.statistic]) == _typed_bits([by_time.statistic])
-    assert _typed_bits(by_side.distances.values()) == _typed_bits(by_time.distances.values())
+    stream = _fresh(streams["side_ordered"])
+    tracemalloc.start()
+    try:
+        detect(stream, n0, rates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 19 * len(stream)
 
 
 @pytest.mark.parametrize("name", ["time_ordered", "side_ordered"])
@@ -874,7 +916,7 @@ def test_detect_checks_a_stream_order_once(analyzer_streams, name):
 
 @pytest.mark.parametrize("name", ["time_ordered", "side_ordered"])
 def test_erased_copy_keeps_the_stream_order_check(analyzer_streams, name):
-    # erase_identities shares the time column, so it passes on the kept runs
+    # erase_identities shares the time column, so it passes on the kept view
     n0, rates, _, streams = analyzer_streams
     stream = _fresh(streams[name])
     with mock.patch("decaylab.analyzer._nondecreasing", wraps=_nondecreasing) as check:
@@ -882,6 +924,20 @@ def test_erased_copy_keeps_the_stream_order_check(analyzer_streams, name):
         blind = detect(erase_identities(stream), n0, rates)
     assert check.call_count == 1
     assert _typed_bits(blind.distances.values()) == _typed_bits(direct.distances.values())
+
+
+def test_erased_copy_of_a_sorted_view_stays_unclassifiable(analyzer_streams):
+    # the view passed on holds the source's order column; the erased copy's
+    # own identities must still decide
+    n0, rates, grid, streams = analyzer_streams
+    stream = _fresh(streams["side_ordered"])
+    detect(stream, n0, rates)
+    erased = erase_identities(stream)
+    detect(erased, n0, rates)
+    assert vars(erased)["_ordered"] is vars(stream)["_ordered"]
+    for call in (lambda: classify(erased, grid, n0), lambda: estimate_rates(erased, n0)):
+        with pytest.raises(UnclassifiableError):
+            call()
 
 
 def _segment_case(seed, size, gamma_or, gamma_pa, absent):
@@ -920,7 +976,7 @@ def test_segment_bounds_match_the_reference_bits(seed, size, gamma_or, gamma_pa,
     # product model to fluctuation scale, and many segments are read
     stream = _segment_case(seed, size, gamma_or, gamma_pa, absent)
     n0 = max(round(scale * np.count_nonzero(stream.species == OR_CODE)), 1)
-    # the rows reversed: one run per distinct time, so the sort path
+    # the rows reversed: one run per distinct time, so a key-sorted view
     reverse = EventStream(*(getattr(stream, c)[::-1] for c in COLUMNS))
     for h, code, gamma in ((Species.OR, OR_CODE, gamma_or), (Species.PA, PA_CODE, gamma_pa)):
         want = _stream_distance_reference(np.sort(stream.time[stream.species == code]), n0, gamma)
@@ -969,8 +1025,6 @@ def _runs_stream(seed, n0, runs):
 )
 def test_classify_by_runs_matches_the_reference(seed, n0, runs, points, on_events):
     stream = _runs_stream(seed, n0, runs)
-    if runs != "shuffled":
-        assert len(_runs(stream)) <= runs + 1
     rng = np.random.default_rng(seed + 1)
     grid = np.sort(rng.uniform(0.0, 6.0, points))
     if on_events and len(stream):
