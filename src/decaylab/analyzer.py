@@ -53,7 +53,7 @@ from .errors import (
     InsufficientDataError,
     UnclassifiableError,
 )
-from .kinetics import PopulationCurve, _check_n0, _positive_n0
+from .kinetics import PopulationCurve, _check_n0, _positive_n0, _validate_grid
 from .montecarlo import (
     FIRST_CODE,
     OR_CODE,
@@ -66,7 +66,7 @@ from .montecarlo import (
     _nondecreasing,
     _time_order,
 )
-from .rates import RateSet, Species
+from .rates import RateSet, Species, _finite_positive
 
 __all__ = [
     "MIN_PAIRS_DEFAULT",
@@ -115,7 +115,7 @@ class ClassifiedCounts:
     n0: int
 
     def __post_init__(self) -> None:
-        grid = _measurement_grid(self.grid)
+        grid = _validate_grid(self.grid)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "n0", _positive_n0(self.n0))
         for name in ("n1_or", "n1_pa", "n2_or", "n2_pa"):
@@ -135,30 +135,27 @@ class ClassifiedCounts:
         return self.n1_pa + self.n2_pa
 
 
-def _measurement_grid(grid) -> np.ndarray:
-    """grid as a float array: 1-d, non-empty, from t >= 0, strictly
-    increasing.  Unlike PopulationCurve's, it need not start at t = 0; each
-    test is written so that a NaN point fails it."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not grid[0] >= 0.0:
-        raise DomainError("grid must be 1-d, non-empty, with times >= 0")
-    if not np.all(np.diff(grid) > 0.0):
-        raise DomainError("grid must be strictly increasing")
-    return grid
-
-
 def _ordered(events: EventStream) -> tuple:
-    """The stream's (time, species, order) columns in time order: its own
-    columns when its time never decreases, else one key sort of the time
-    column and a gather of the other two.  Found once per stream and kept in
-    its __dict__, as the pair join is."""
+    """The stream's (time, species, order) columns in time order, then the pa
+    rows in each _SEGMENT-row segment of them, as int64.  The columns are its
+    own when its time never decreases, else one key sort of the time column
+    and a gather of the other two.  A segment holds at most _SEGMENT pa rows,
+    so uint16 sums are exact, and a sum over an axis casts in buffers, with
+    no column copy.  Found once per stream and kept in its __dict__, as the
+    pair join is."""
     memo = vars(events)
     if "_ordered" not in memo:
-        columns = events.time, events.species, events.order
-        if not _nondecreasing(events.time):
-            idx, time = _time_order(events.time)
-            columns = time, events.species.take(idx), events.order.take(idx)
-        memo["_ordered"] = columns
+        time, species, order = events.time, events.species, events.order
+        if not _nondecreasing(time):
+            idx, time = _time_order(time)
+            species, order = species.take(idx), order.take(idx)
+        whole = species.size // _SEGMENT
+        pa = species[: whole * _SEGMENT].reshape(whole, _SEGMENT).sum(axis=1, dtype=np.uint16)
+        if species.size % _SEGMENT:
+            pa = np.append(pa, species[whole * _SEGMENT :].sum(dtype=np.uint16))
+        pa = pa.astype(np.int64)
+        pa.flags.writeable = False
+        memo["_ordered"] = time, species, order, pa
     return memo["_ordered"]
 
 
@@ -237,8 +234,8 @@ def classify(events: EventStream, grid, n0: int) -> ClassifiedCounts:
     per-category copy.
     """
     _pair_join(events, n0)
-    grid = _measurement_grid(grid)
-    return ClassifiedCounts(grid, *_run_counts(*_ordered(events), grid), n0=n0)
+    grid = _validate_grid(grid)
+    return ClassifiedCounts(grid, *_run_counts(*_ordered(events)[:3], grid), n0=n0)
 
 
 def _run_counts(time, species, order, grid: np.ndarray) -> np.ndarray:
@@ -271,8 +268,6 @@ def reconstruct(counts: ClassifiedCounts) -> PopulationCurve:
     n = n0 - counts.n1_or - counts.n1_pa
     n_or = counts.n1_pa - counts.n2_or
     n_pa = counts.n1_or - counts.n2_pa
-    if np.any(n < 0):
-        raise DataError("more first emissions than pairs")
     if np.any(n_or < 0) or np.any(n_pa < 0):
         raise DataError("second emissions outnumber their feeding firsts")
     return PopulationCurve(
@@ -301,11 +296,11 @@ def erase_identities(events: EventStream) -> EventStream:
         side=events.side,
         order=np.full(m, UNKNOWN_CODE, dtype=np.uint8),
     )
-    # the same time and species columns: the same time-ordered view and
-    # segment counts; the view's order column is never read for it, since
-    # classify stops at the erased identities first
-    kept = vars(events)
-    vars(erased).update({k: kept[k] for k in ("_ordered", "_segment_pa") if k in kept})
+    # the same time and species columns: the same time-ordered view; its
+    # order column is never read for it, since classify stops at the erased
+    # identities first
+    if "_ordered" in vars(events):
+        vars(erased)["_ordered"] = vars(events)["_ordered"]
     return erased
 
 
@@ -469,19 +464,8 @@ def _segment_rows(a: np.ndarray, seg: np.ndarray) -> np.ndarray:
 
 def _segment_counts(events: EventStream, code: int) -> np.ndarray:
     """Rows of the species code in each _SEGMENT-row segment of the stream's
-    time-ordered view.  The pa counts take one pass over its species column
-    and are kept on the stream; a segment holds at most _SEGMENT pa rows, so
-    uint16 sums are exact, and a sum over an axis casts in buffers, with no
-    column copy."""
-    memo = vars(events)
-    if "_segment_pa" not in memo:
-        species = _ordered(events)[1]
-        whole = species.size // _SEGMENT
-        pa = species[: whole * _SEGMENT].reshape(whole, _SEGMENT).sum(axis=1, dtype=np.uint16)
-        if species.size % _SEGMENT:
-            pa = np.append(pa, species[whole * _SEGMENT :].sum(dtype=np.uint16))
-        memo["_segment_pa"] = pa
-    pa = memo["_segment_pa"].astype(np.int64)
+    time-ordered view."""
+    pa = _ordered(events)[3]
     return pa if code == PA_CODE else _segment_sizes(len(events)) - pa
 
 
@@ -502,11 +486,10 @@ def product_model_distance(source, n0: float, h: Species, gamma: float) -> float
     view; for gridded sources it is taken over the grid points.
     """
     _check_n0(n0)
-    if not (gamma > 0 and math.isfinite(gamma)):
-        raise DomainError("gamma must be finite and positive")
+    gamma = _finite_positive(gamma, "gamma")
     if isinstance(source, EventStream):
         code = SPECIES_CODE[h]
-        time, species, _ = _ordered(source)
+        time, species, *_ = _ordered(source)
         return _sup_distance(time, n0, gamma, _segment_counts(source, code), species, code)
     if not isinstance(source, (ClassifiedCounts, PopulationCurve)):
         raise DomainError("source must be an EventStream, ClassifiedCounts, or PopulationCurve")
@@ -550,10 +533,7 @@ def detect(
         if int(n0) != n0:
             raise DomainError(f"n0 must be a whole number for a stream source, got {n0!r}")
         fit_args = (source, _positive_n0(int(n0)), min_pairs)
-    if threshold is None:
-        threshold = default_threshold(n0)
-    if not (threshold > 0.0 and math.isfinite(threshold)):
-        raise DomainError("threshold must be finite and positive")
+    threshold = default_threshold(n0) if threshold is None else _finite_positive(threshold, "threshold")
 
     distances: dict[str, float] = {}
     for h, gamma in ((Species.OR, reference.gamma_or), (Species.PA, reference.gamma_pa)):
@@ -565,28 +545,11 @@ def detect(
     statistic = min(distances["product_or"], distances["product_pa"])
 
     if n0 < min_pairs:
-        return DetectionVerdict(
-            verdict=Verdict.INCONCLUSIVE,
-            statistic=statistic,
-            threshold=threshold,
-            distances=distances,
-            fit_args=fit_args,
-            reason=f"sample size {n0:g} below minimum {min_pairs}",
-        )
-    if statistic > 1.2 * threshold:
-        verdict = Verdict.ENTANGLED
-        reason = ""
+        verdict, reason = Verdict.INCONCLUSIVE, f"sample size {n0:g} below minimum {min_pairs}"
+    elif statistic > 1.2 * threshold:
+        verdict, reason = Verdict.ENTANGLED, ""
     elif statistic < 0.8 * threshold:
-        verdict = Verdict.PRODUCT
-        reason = ""
+        verdict, reason = Verdict.PRODUCT, ""
     else:
-        verdict = Verdict.INCONCLUSIVE
-        reason = "statistic inside the threshold band"
-    return DetectionVerdict(
-        verdict=verdict,
-        statistic=statistic,
-        threshold=threshold,
-        distances=distances,
-        fit_args=fit_args,
-        reason=reason,
-    )
+        verdict, reason = Verdict.INCONCLUSIVE, "statistic inside the threshold band"
+    return DetectionVerdict(verdict, statistic, threshold, distances, reason, fit_args)

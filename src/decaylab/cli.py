@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
-from itertools import groupby, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -324,35 +324,29 @@ def _label_cells(key: np.ndarray, text: np.ndarray) -> None:
 
 def _write_rows(path: Path, header: str, columns) -> None:
     """Write a header line, then a row per element of the columns, _CHUNK
-    rows per write.  columns are (cells, words, values), values one column
-    or (n, c) for c side by side; cells(v, text) fills a chunk's words of v."""
+    rows per write.  columns are (cells, words, values); cells(v, text)
+    fills a chunk's words of v."""
     n = len(columns[0][2])
     chunk = max(1, min(_CHUNK, n))
-    words = [w for _, w, values in columns for _ in range(math.prod(values.shape[1:]))]
-    ends = np.cumsum(words)  # each value's last cell holds the "," or "\n" after it
-    bounds = np.cumsum([0] + [w * math.prod(values.shape[1:]) for _, w, values in columns])
-    text = np.zeros((chunk, ends[-1]), np.uint64)
+    bounds = np.cumsum([0] + [words for _, words, _ in columns])
+    ends = 8 * bounds[1:] - 1  # each value's last cell holds the "," or "\n" after it
+    text = np.zeros((chunk, bounds[-1]), np.uint64)
     raw = text.view(np.uint8)
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for lo in range(0, n, chunk):
             m = min(chunk, n - lo)
-            for (fill, w, values), start, stop in zip(columns, bounds, bounds[1:]):
-                block = values[lo : lo + m]
-                fill(block, text[:m, start:stop].reshape(block.shape + (w,)))
-            raw[:m, 8 * ends - 1] = ord(",")
+            for (fill, _, values), start, stop in zip(columns, bounds, bounds[1:]):
+                fill(values[lo : lo + m], text[:m, start:stop])
+            raw[:m, ends] = ord(",")
             raw[:m, -1] = ord("\n")
             fh.write(np.compress(raw[:m].ravel() != 0, raw[:m].ravel()).tobytes())
 
 
 def write_curve_csv(path: Path, curve) -> None:
     columns = (curve.grid, curve.n, curve.n_or, curve.n_pa, curve.N_or, curve.N_pa)
-    # adjacent columns of one dtype take one cells call; integer counts print
-    # in full, as "%d" would
-    blocks = []
-    for dtype, same in groupby(columns, key=lambda column: column.dtype):
-        cells, words = (_int_cells, 3) if dtype.kind in "biu" else (_float_cells, 5)
-        blocks.append((cells, words, np.column_stack(list(same))))
+    # integer counts print in full, as "%d" would
+    blocks = [(_int_cells, 3, c) if c.dtype.kind in "biu" else (_float_cells, 5, c) for c in columns]
     _write_rows(path, CURVE_HEADER, blocks)
 
 

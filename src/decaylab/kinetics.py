@@ -165,13 +165,11 @@ def product_photons(t, h: Species, n0: float, rates: RateSet):
 
 
 def _validate_grid(grid) -> np.ndarray:
-    """grid as a float array: non-empty, 1-d, from t = 0, strictly increasing
-    (written so that a NaN point fails)."""
+    """grid as a float array: 1-d, non-empty, from t >= 0, strictly
+    increasing; each test is written so that a NaN point fails it."""
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("grid must be a non-empty 1-d array")
-    if grid[0] != 0.0:
-        raise DomainError("grid must start at t = 0")
+    if grid.ndim != 1 or grid.size == 0 or not grid[0] >= 0.0:
+        raise DomainError("grid must be 1-d, non-empty, with times >= 0")
     if not np.all(np.diff(grid) > 0.0):
         raise DomainError("grid must be strictly increasing")
     return grid
@@ -196,6 +194,8 @@ class PopulationCurve:
 
     def __post_init__(self) -> None:
         grid = _validate_grid(self.grid)
+        if grid[0] != 0.0:
+            raise DomainError("grid must start at t = 0")
         object.__setattr__(self, "grid", grid)
         for name in ("n", "n_or", "n_pa", "N_or", "N_pa"):
             arr = np.asarray(getattr(self, name))

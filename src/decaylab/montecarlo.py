@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, NoDecayError
 from .kinetics import PopulationCurve, _positive_n0
-from .rates import EntangledRates, RateSet, Species, derive_rates
+from .rates import EntangledRates, RateSet, Species, _finite_positive, derive_rates
 
 __all__ = [
     "ENTANGLED",
@@ -304,13 +304,8 @@ class Scenario:
                 raise DomainError("product_species must be set in product mode")
         elif self.product_species is not None:
             raise DomainError("product_species only applies to product mode")
-        t_max = self.t_max
-        if t_max is None:
-            t_max = _default_t_max(self.rates)
-        t_max = float(t_max)
-        if not math.isfinite(t_max) or t_max <= 0.0:
-            raise DomainError("t_max must be finite and > 0")
-        object.__setattr__(self, "t_max", t_max)
+        t_max = _default_t_max(self.rates) if self.t_max is None else self.t_max
+        object.__setattr__(self, "t_max", _finite_positive(t_max, "t_max"))
         if not isinstance(self.grid_points, (int, np.integer)) or self.grid_points < 2:
             raise DomainError("grid_points must be an integer >= 2")
         object.__setattr__(self, "grid_points", int(self.grid_points))

@@ -54,7 +54,7 @@ class Species(Enum):
         return Species.PA if self is Species.OR else Species.OR
 
 
-def _require_finite_rate(value: float, name: str) -> float:
+def _finite_positive(value, name: str) -> float:
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
         raise DomainError(f"{name} must be > 0 and finite, got {value!r}")
@@ -83,8 +83,8 @@ class RateSet:
     w_pa: complex = 0j
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma_or", _require_finite_rate(self.gamma_or, "gamma_or"))
-        object.__setattr__(self, "gamma_pa", _require_finite_rate(self.gamma_pa, "gamma_pa"))
+        object.__setattr__(self, "gamma_or", _finite_positive(self.gamma_or, "gamma_or"))
+        object.__setattr__(self, "gamma_pa", _finite_positive(self.gamma_pa, "gamma_pa"))
         object.__setattr__(self, "w_or", _require_finite_complex(self.w_or, "w_or"))
         object.__setattr__(self, "w_pa", _require_finite_complex(self.w_pa, "w_pa"))
 
@@ -139,7 +139,7 @@ def relative_modification(w: complex) -> float:
 
 def entangled_rate(gamma_h: float, w_companion: complex) -> float:
     """Emission rate gamma_h * |1 + w_companion|^2 of an entangled pair."""
-    gamma_h = _require_finite_rate(gamma_h, "gamma_h")
+    gamma_h = _finite_positive(gamma_h, "gamma_h")
     return gamma_h * (1.0 + relative_modification(w_companion))
 
 
