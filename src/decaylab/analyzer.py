@@ -63,6 +63,7 @@ from .montecarlo import (
     UNKNOWN_CODE,
     UNKNOWN_PAIR,
     EventStream,
+    _exact,
     _nondecreasing,
     _time_order,
 )
@@ -119,7 +120,7 @@ class ClassifiedCounts:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "n0", _positive_n0(self.n0))
         for name in ("n1_or", "n1_pa", "n2_or", "n2_pa"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
+            arr = _exact(getattr(self, name), np.int64, name, DomainError)
             if arr.shape != grid.shape:
                 raise DomainError(f"{name} must match the grid shape")
             if arr[0] < 0 or np.any(np.diff(arr) < 0):
@@ -136,13 +137,11 @@ class ClassifiedCounts:
 
 
 def _ordered(events: EventStream) -> tuple:
-    """The stream's (time, species, order) columns in time order, then the pa
-    rows in each _SEGMENT-row segment of them, as int64.  The columns are its
-    own when its time never decreases, else one key sort of the time column
-    and a gather of the other two.  A segment holds at most _SEGMENT pa rows,
-    so uint16 sums are exact, and a sum over an axis casts in buffers, with
-    no column copy.  Found once per stream and kept in its __dict__, as the
-    pair join is."""
+    """The stream's (time, species, order) columns in time order (its own when
+    its time never decreases, else one key sort and a gather), then the pa
+    rows per _SEGMENT-row segment: uint16 sums are exact there, and a sum
+    over an axis casts in buffers, with no column copy.  Found once per
+    stream and kept in its __dict__, as the pair join is."""
     memo = vars(events)
     if "_ordered" not in memo:
         time, species, order = events.time, events.species, events.order
@@ -517,7 +516,11 @@ def detect(
     or a PopulationCurve.  reference supplies the calibrated free rates that
     parameterise the product hypotheses.  The verdict is Entangled above
     1.2 * threshold, Product below 0.8 * threshold, and Inconclusive inside
-    the band or when fewer than min_pairs pairs were prepared.  A gridded
+    the band or when fewer than min_pairs pairs were prepared.  ENTANGLED
+    means that both species were emitted, more of the companion species than
+    a one-species product preparation allows; it does not test the rate
+    shift lambda = gamma_t - gamma_or - gamma_pa != 0, so a merge of or and
+    pa product atoms at W = 0 (lambda = 0) is ENTANGLED too.  A gridded
     source takes any finite n0 > 0; a stream counts its pairs, so its n0
     must be a whole number below 2**63, which the rate fit then receives
     exactly.  On the stream's time-ordered view (its own columns when its

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .rates import EntangledRates, RateSet, Species, derive_rates
+from .rates import EntangledRates, RateSet, Species, _finite_positive, derive_rates
 
 __all__ = [
     "DEGENERATE_EPS",
@@ -201,8 +201,8 @@ class PopulationCurve:
             arr = np.asarray(getattr(self, name))
             if arr.shape != grid.shape:
                 raise DomainError(f"{name} must match the grid shape")
-            if np.any(arr < 0):
-                raise DomainError(f"{name} must be non-negative everywhere")
+            if not (np.all(np.isfinite(arr)) and np.all(arr >= 0)):
+                raise DomainError(f"{name} must be finite and non-negative everywhere")
             object.__setattr__(self, name, arr)
         _check_n0(self.n0)
 
@@ -271,7 +271,8 @@ def lifetime_species(
     Solves (n(tau) + n_h(tau)) / n0 = 1/e by doubling an upper bracket and
     bisecting.  The bracket is capped at 1e3 times the slowest characteristic
     time; survival still above 1/e there signals pathological rates and
-    raises SolverError.
+    raises SolverError.  tol, the width at which bisection stops, defaults
+    to 1e-12 of that time and must be finite and > 0.
     """
     if er is None:
         er = derive_rates(rates)
@@ -279,8 +280,7 @@ def lifetime_species(
     if er.gamma_t <= 0.0:
         raise DomainError("gamma_t must be positive for a finite lifetime")
     scale = max(1.0 / gamma_h, 1.0 / er.gamma_t)
-    if tol is None:
-        tol = _BISECT_RTOL * scale
+    tol = _BISECT_RTOL * scale if tol is None else _finite_positive(tol, "tol")
     target = math.exp(-1.0)
 
     def excess(tau: float) -> float:

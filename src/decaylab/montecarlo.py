@@ -118,6 +118,22 @@ class PhotonEvent:
     order: EmissionOrder
 
 
+def _exact(values, dtype, name: str, error: type) -> np.ndarray:
+    """values as a dtype array; error, starting with name, when they are not
+    numbers or when the cast would change one (a safe cast changes none)."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # lists of unequal lengths
+        arr = np.empty(0, dtype=object)
+    if arr.dtype.kind not in "biuf":
+        raise error(f"{name} must be an array of numbers")
+    with np.errstate(invalid="ignore"):  # NaN or inf cast to an integer
+        cast = arr.astype(dtype, copy=False)
+    if not np.can_cast(arr.dtype, dtype) and not np.array_equal(cast, arr):
+        raise error(f"{name} holds values that casting to {np.dtype(dtype)} would change")
+    return cast
+
+
 @dataclass(frozen=True)
 class EventStream:
     """Columnar photon record: parallel arrays, one row per photon.
@@ -147,7 +163,7 @@ class EventStream:
         )
         n = None
         for name, dtype in casts:
-            arr = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
+            arr = np.ascontiguousarray(_exact(getattr(self, name), dtype, name, DataError)).view()
             arr.flags.writeable = False
             if arr.ndim != 1:
                 raise DataError(f"{name} must be 1-d")
@@ -581,8 +597,7 @@ def histogram(
     if mode not in (ENTANGLED, PRODUCT):
         raise DomainError(f"mode must be {ENTANGLED!r} or {PRODUCT!r}")
     if mode == ENTANGLED:
-        known = events.order != UNKNOWN_CODE
-        if not np.all(known):
+        if np.any(events.order == UNKNOWN_CODE):
             raise DataError("entangled histogram needs first/second order tags")
         n_first = int(np.count_nonzero(events.order == FIRST_CODE))
         if n_first > n0:
@@ -603,15 +618,6 @@ def histogram(
             raise DataError(f"{events.time.size} emissions from only {n0} atoms")
         N_or, N_pa = _category_counts(events.time, grid, events.species, 2)
         n = n0 - N_or - N_pa
-        zero = np.zeros(grid.size, dtype=np.int64)
-        n_or = zero
-        n_pa = zero.copy()
-    return PopulationCurve(
-        grid,
-        n.astype(np.int64),
-        n_or.astype(np.int64),
-        n_pa.astype(np.int64),
-        N_or.astype(np.int64),
-        N_pa.astype(np.int64),
-        n0,
-    )
+        n_or, n_pa = np.zeros((2, grid.size), dtype=np.int64)
+    # binary searches count in int64 (intp), so every column already is one
+    return PopulationCurve(grid, n, n_or, n_pa, N_or, N_pa, n0)

@@ -27,6 +27,7 @@ recovers the free rates exactly; W = -1 switches a channel off completely.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -55,10 +56,17 @@ class Species(Enum):
 
 
 def _finite_positive(value, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
+    """value as a float; a DomainError starting with name unless it is a
+    finite real number > 0 (a bool is not one)."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+    if not 0.0 < number < math.inf:
         raise DomainError(f"{name} must be > 0 and finite, got {value!r}")
-    return value
+    return number
 
 
 def _require_finite_complex(value: complex, name: str) -> complex:

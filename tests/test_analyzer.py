@@ -25,6 +25,7 @@ from decaylab import (
     Verdict,
     classify,
     default_threshold,
+    derive_rates,
     detect,
     erase_identities,
     estimate_rates,
@@ -1231,3 +1232,81 @@ def test_malformed_inputs_raise_only_package_errors(case, mode):
             call()
         except DecayLabError:
             pass
+
+
+def _counts(n1_or):
+    zeros = [0, 0]
+    return ClassifiedCounts([0.0, 1.0], n1_or, zeros, zeros, zeros, n0=5)
+
+
+def _columns(**given):
+    values = dict(pair_id=[0, 1], time=[0.0, 1.0], species=[0, 1], side=[0, 1], order=[0, 0])
+    return EventStream(**(values | given))
+
+
+# values that a column's cast once changed silently or turned into a raw
+# numpy error: wrapped codes, truncated ids and counts, strings
+@pytest.mark.parametrize(
+    "build,error",
+    [
+        (lambda: _columns(species=np.array([256, 257])), DataError),
+        (lambda: _columns(pair_id=[0.0, 0.9]), DataError),
+        (lambda: _columns(species=[-1, 0]), DataError),
+        (lambda: _columns(side=[300, 0]), DataError),
+        (lambda: _columns(order=["0", "1"]), DataError),
+        (lambda: _columns(time=["a", "b"]), DataError),
+        (lambda: _columns(pair_id=[[0], [1, 2]]), DataError),
+        (lambda: _counts([0, 0.9]), DomainError),
+        (lambda: _counts(["0", "1"]), DomainError),
+    ],
+    ids=[
+        "wrapped",
+        "fractional-id",
+        "negative",
+        "300",
+        "str-order",
+        "str-time",
+        "ragged",
+        "fractional-count",
+        "str-count",
+    ],
+)
+def test_values_a_column_cast_would_change_are_typed_errors(build, error):
+    with pytest.raises(error):
+        build()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(COLUMNS),
+    st.lists(
+        st.one_of(st.integers(-300, 300), st.just(2**64), st.floats(), st.text(max_size=2)),
+        min_size=2,
+        max_size=2,
+    ),
+)
+def test_event_columns_keep_every_value_or_refuse_it(name, values):
+    try:
+        stream = _columns(**{name: values})
+    except DataError:
+        return
+    assert getattr(stream, name).tolist() == values
+
+
+def test_two_species_product_at_w0_is_called_entangled():
+    # the blind spot: the statistic tells one-species from two-species
+    # preparations; it does not test lambda = gamma_t - gamma_or - gamma_pa.
+    # A merge of a product:or and a product:pa stream at W = 0 has lambda = 0
+    # and is called ENTANGLED with statistic 1, as an entangled W = 0 stream is
+    n0, rates = 20_000, RateSet(1.0, 0.5)
+    assert derive_rates(rates).lam == 0.0
+    parts = [
+        simulate(Scenario(n0=n0, rates=rates, mode="product", product_species=h, seed=80 + i))[0]
+        for i, h in enumerate(Species)
+    ]
+    merged = EventStream(*(np.concatenate([getattr(p, c) for p in parts]) for c in COLUMNS))
+    entangled, _ = simulate(Scenario(n0=n0, rates=rates, seed=82))
+    for stream in (erase_identities(merged), entangled):
+        verdict = detect(stream, n0, rates)
+        assert verdict.verdict is Verdict.ENTANGLED
+        assert verdict.statistic == pytest.approx(1.0, abs=0.01)

@@ -268,6 +268,10 @@ def test_population_curve_validation():
         rows = np.zeros(len(nan_grid))
         with pytest.raises(DomainError):
             PopulationCurve(np.array(nan_grid), rows, rows, rows, rows, rows, n0=1000)
+    # a NaN N_or once gave detect a NaN statistic and an INCONCLUSIVE verdict
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            PopulationCurve(grid, good, good, good, np.array([0.0, bad]), good, n0=1000)
     curve = PopulationCurve(grid, good, good, good, good, good, n0=1000)
     assert curve.survivors(Species.OR) is curve.n_or
     assert curve.photons(Species.PA) is curve.N_pa

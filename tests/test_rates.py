@@ -10,10 +10,15 @@ from decaylab import (
     DomainError,
     EntangledRates,
     RateSet,
+    Scenario,
     Species,
     derive_rates,
+    detect,
     entangled_rate,
+    evaluate_curve,
     lambda_unweighted,
+    lifetime_report,
+    product_model_distance,
     relative_modification,
 )
 
@@ -156,3 +161,30 @@ def test_derived_rates_are_internally_consistent(gor, gpa, re_or, im_or, re_pa, 
     assert er.lam == er.gamma_t - gor - gpa
     assert er.gamma_t_or == entangled_rate(gor, rs.w_pa)
     assert er.gamma_t_pa == entangled_rate(gpa, rs.w_or)
+
+
+def _curve():
+    return evaluate_curve(Scenario(n0=300, rates=RateSet(1.0, 1.0)))
+
+
+# one rule, finite and > 0, for every rate, horizon, threshold and tolerance;
+# each of these once raised a raw ValueError or TypeError, or (tol) returned
+# lifetimes of 0.5 instead of 1.0
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: RateSet("x", 1.0),
+        lambda: RateSet(1.0, None),
+        lambda: Scenario(n0=10, rates=RateSet(1.0, 1.0), t_max="x"),
+        lambda: detect(_curve(), 300, RateSet(1.0, 1.0), threshold="x"),
+        lambda: product_model_distance(_curve(), 300, Species.OR, "x"),
+        lambda: lifetime_report(RateSet(1.0, 1.0), tol=math.nan),
+        lambda: lifetime_report(RateSet(1.0, 1.0), tol=math.inf),
+        lambda: lifetime_report(RateSet(1.0, 1.0), tol=0.0),
+        lambda: lifetime_report(RateSet(1.0, 1.0), tol="x"),
+    ],
+    ids=["rate", "rate-none", "t_max", "threshold", "gamma", "tol-nan", "tol-inf", "tol-0", "tol"],
+)
+def test_finite_positive_rule_raises_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
