@@ -517,18 +517,13 @@ def detect(
     parameterise the product hypotheses.  The verdict is Entangled above
     1.2 * threshold, Product below 0.8 * threshold, and Inconclusive inside
     the band or when fewer than min_pairs pairs were prepared.  ENTANGLED
-    means that both species were emitted, more of the companion species than
-    a one-species product preparation allows; it does not test the rate
-    shift lambda = gamma_t - gamma_or - gamma_pa != 0, so a merge of or and
-    pa product atoms at W = 0 (lambda = 0) is ENTANGLED too.  A gridded
-    source takes any finite n0 > 0; a stream counts its pairs, so its n0
-    must be a whole number below 2**63, which the rate fit then receives
-    exactly.  On the stream's time-ordered view (its own columns when its
-    times never decrease, as simulate's; one key sort kept on it otherwise),
-    each species' sup-norm gap is bounded per segment of rows from one count
-    of the species column, and computed exactly only in the few segments
-    whose bound can reach the supremum.  The result is bit for bit the full
-    evaluation's.
+    means that both species were emitted; it does not test the rate shift
+    lambda = gamma_t - gamma_or - gamma_pa != 0, so or and pa product atoms
+    merged at W = 0 (lambda = 0) are ENTANGLED too.  A gridded source takes
+    any finite n0 > 0; a stream counts its pairs, so its n0 must be a whole
+    number below 2**63, which the rate fit then receives exactly.  A stream
+    is read through its kept time-ordered view, segment by segment (see the
+    module docstring), bit for bit as the full evaluation.
     """
     _check_n0(n0)
     fit_args = None
