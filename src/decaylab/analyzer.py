@@ -32,10 +32,16 @@ by default three times the 95% Kolmogorov fluctuation scale 1.36/sqrt(n0).
 
 Both scans read one time-ordered view of a stream, kept on it: its own
 columns when its times never decrease, as simulate's, else one key sort's
-gather of them.  classify searches the grid in the view and tallies codes per
-grid segment.  detect bounds the gap of every segment of _SEGMENT rows from
-its first and last times and the counts around it, and evaluates the gaps
-exactly only in segments whose bound can reach the supremum.
+gather of them.  The view is split into segments of _SEGMENT rows.  On its
+first classify a stream also keeps, per segment, the pa, second and second pa
+rows before it (three integers per segment); classify then searches the grid
+in the view and counts each grid point as those tallies plus the rows of its
+own segment before it, reading only the segments that grid points fall in.
+detect bounds the gap of every segment from its first and last times and the
+counts around it, and evaluates the gaps exactly only in segments whose bound
+can reach the supremum.  Erasing identities copies nothing: the erased stream
+shares the observed columns, and its pair-id and order columns are constant
+read-only views of a single value.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from .errors import (
     InsufficientDataError,
     UnclassifiableError,
 )
-from .kinetics import PopulationCurve, _check_n0, _positive_n0, _validate_grid
+from .kinetics import PopulationCurve, _check_n0, _exact, _positive_n0, _validate_grid
 from .montecarlo import (
     FIRST_CODE,
     OR_CODE,
@@ -63,7 +69,6 @@ from .montecarlo import (
     UNKNOWN_CODE,
     UNKNOWN_PAIR,
     EventStream,
-    _exact,
     _nondecreasing,
     _time_order,
 )
@@ -96,8 +101,8 @@ THRESHOLD_SAFETY = 3.0
 # rows per detect segment: the unit whose gap is bounded from its first and
 # last rows, and read only when the bound can reach the supremum
 _SEGMENT = 128
-# rows per chunk of refined segments in detect and per row block of the
-# time-ordered view in classify: 256 KB of float64
+# rows per chunk of refined segments in detect and of segments read by
+# classify: 256 KB of float64
 _CHUNK = 1 << 15
 # added to a segment's bound before it is compared with an exact gap: far
 # above the few ulps by which rounding can move a computed model value
@@ -148,14 +153,36 @@ def _ordered(events: EventStream) -> tuple:
         if not _nondecreasing(time):
             idx, time = _time_order(time)
             species, order = species.take(idx), order.take(idx)
-        whole = species.size // _SEGMENT
-        pa = species[: whole * _SEGMENT].reshape(whole, _SEGMENT).sum(axis=1, dtype=np.uint16)
-        if species.size % _SEGMENT:
-            pa = np.append(pa, species[whole * _SEGMENT :].sum(dtype=np.uint16))
-        pa = pa.astype(np.int64)
-        pa.flags.writeable = False
-        memo["_ordered"] = time, species, order, pa
+        memo["_ordered"] = time, species, order, _segment_sums(species)
     return memo["_ordered"]
+
+
+def _segment_sums(codes: np.ndarray) -> np.ndarray:
+    """The 0/1 codes summed per _SEGMENT-row segment, read-only int64."""
+    whole = codes.size // _SEGMENT
+    sums = codes[: whole * _SEGMENT].reshape(whole, _SEGMENT).sum(axis=1, dtype=np.uint16)
+    if codes.size % _SEGMENT:
+        sums = np.append(sums, codes[whole * _SEGMENT :].sum(dtype=np.uint16))
+    sums = sums.astype(np.int64)
+    sums.flags.writeable = False
+    return sums
+
+
+def _tallies(events: EventStream) -> np.ndarray:
+    """(3, segments) int64: the pa rows, second rows and second pa rows of
+    the stream's time-ordered view before each of its _SEGMENT-row segments.
+    Found on the stream's first classify and kept in its __dict__ beside the
+    view, so a caller that only detects never pays for it."""
+    memo = vars(events)
+    if "_tallies" not in memo:
+        _, species, order, pa = _ordered(events)
+        per_segment = (pa, _segment_sums(order), _segment_sums(species & order))
+        tallies = np.zeros((3, pa.size), dtype=np.int64)
+        for row, sums in zip(tallies, per_segment):
+            np.cumsum(sums[:-1], out=row[1:])
+        tallies.flags.writeable = False
+        memo["_tallies"] = tallies
+    return memo["_tallies"]
 
 
 def _pair_join(events: EventStream, n0: int) -> list:
@@ -229,32 +256,74 @@ def classify(events: EventStream, grid, n0: int) -> ClassifiedCounts:
     Runs the pair checks shared with estimate_rates: identities must be
     intact, pair ids must fit inside [0, n0), no pair may emit two firsts or
     two seconds, and a second must follow a first of the companion species.
-    The counts come from the stream's time-ordered view, with no
-    per-category copy.
+    The counts come from the tallies kept on the stream's time-ordered view
+    and the rows of the segments that grid points fall in.
     """
     _pair_join(events, n0)
     grid = _validate_grid(grid)
-    return ClassifiedCounts(grid, *_run_counts(*_ordered(events)[:3], grid), n0=n0)
+    return ClassifiedCounts(grid, *_tally_counts(events, grid), n0=n0)
 
 
-def _run_counts(time, species, order, grid: np.ndarray) -> np.ndarray:
-    """Rows of each category order << 1 | species at or before each grid
-    point, (4, grid size), from time-ordered columns: one search of the grid,
-    then per row block a bincount of grid segment and category, and one
-    cumulative sum at the end."""
-    tally = np.zeros((4, grid.size), dtype=np.int64)
-    # rows before edges[i] lie at or before grid[i]; later rows never count
+def _tally_counts(events: EventStream, grid: np.ndarray) -> tuple:
+    """Rows of each category (first or, first pa, second or, second pa) at
+    or before each grid point, from the kept tallies.
+
+    A grid point's edge e, the rows of the time-ordered view at or before
+    it, lies in segment s = (e - 1) // _SEGMENT (0 when e = 0): the tallies
+    give the rows before s and _segment_table the rows of s before e.  Each
+    distinct segment is read once, _CHUNK // _SEGMENT of them at a time, so
+    no temporary has more than a few words per grid point or row read.
+    """
+    time, species, order, _ = _ordered(events)
+    tallies = _tallies(events)
     edges = np.searchsorted(time, grid, side="right")
-    end = int(edges[-1])
-    for r0 in range(0, end, _CHUNK):
-        r1 = min(r0 + _CHUNK, end)
-        # rows r0..r1-1 first count at grid points i0..i1
-        i0, i1 = np.searchsorted(edges, [r0, r1 - 1], side="right")
-        rows = np.diff(np.clip(edges[i0 : i1 + 1], r0, r1), prepend=r0)
-        label = np.repeat(np.arange(0, 4 * rows.size, 4), rows)
-        label += order[r0:r1] << 1 | species[r0:r1]
-        tally[:, i0 : i1 + 1] += np.bincount(label, minlength=4 * rows.size).reshape(-1, 4).T
-    return np.cumsum(tally, axis=1)
+    # pa, second and second pa rows; the grid ascends, and so do the segments
+    counts = np.zeros((3, grid.size), dtype=np.int64)
+    seg = np.maximum(edges - 1, 0) // _SEGMENT
+    # the distinct segments, by a mask, not np.unique's sorted copy; an empty
+    # view has no segment to read, and every count is 0
+    new = np.ones(seg.size, dtype=bool)
+    np.not_equal(seg[1:], seg[:-1], out=new[1:])
+    distinct = seg[new] if time.size else seg[:0]
+    step = _CHUNK // _SEGMENT
+    for c in range(0, distinct.size, step):
+        segs = distinct[c : c + step]
+        p0 = np.searchsorted(seg, segs[0], side="left")
+        p1 = np.searchsorted(seg, segs[-1], side="right")
+        # each point's entry in the chunk's table: its segment's place in
+        # the chunk, then its edge's rank inside that segment
+        at = np.searchsorted(segs, seg[p0:p1])
+        at *= _SEGMENT + 1
+        at += edges[p0:p1]
+        at -= seg[p0:p1] * _SEGMENT
+        table = _segment_table(species, order, segs, tallies).reshape(3, -1)
+        for row, entries in zip(counts[:, p0:p1], table):
+            np.take(entries, at, out=row)
+    pa, second, both = counts
+    pa -= both  # first pa
+    second -= both  # second or
+    edges -= pa  # first or, what is left of the rows
+    edges -= second
+    edges -= both
+    return edges, pa, second, both
+
+
+def _segment_table(species, order, segs, tallies) -> np.ndarray:
+    """(3, segs.size, _SEGMENT + 1): the pa, second and second pa rows of
+    the view before each rank 0.._SEGMENT of each ascending segment in segs
+    (the last segment of the view may be shorter; its missing rows count
+    as none)."""
+    table = np.zeros((3, segs.size, _SEGMENT + 1), dtype=np.int64)
+    whole = species.size // _SEGMENT
+    full = segs[: np.searchsorted(segs, whole)]
+    for row, column in zip(table, (species, order)):
+        row[: full.size, 1:] = column[: whole * _SEGMENT].reshape(whole, _SEGMENT)[full]
+        if full.size < segs.size:
+            tail = column[whole * _SEGMENT :]
+            row[-1, 1 : tail.size + 1] = tail
+    np.bitwise_and(table[0], table[1], out=table[2])
+    table[:, :, 0] = tallies[:, segs]
+    return np.cumsum(table, axis=2, out=table)
 
 
 def reconstruct(counts: ClassifiedCounts) -> PopulationCurve:
@@ -285,15 +354,18 @@ def erase_identities(events: EventStream) -> EventStream:
 
     Models a detector that sees photons but cannot attribute them to pairs;
     the result supports detection but not classification.  It shares the
-    stream's read-only time, species and side columns.
+    stream's read-only time, species and side columns and its kept
+    time-ordered view; its pair-id and order columns are read-only
+    zero-stride views of UNKNOWN_PAIR and UNKNOWN_CODE, and no column is
+    checked again, so erasure costs the same at any length.
     """
     m = len(events)
-    erased = EventStream(
-        pair_id=np.full(m, UNKNOWN_PAIR, dtype=np.int64),
+    erased = EventStream._unchecked(
+        pair_id=np.broadcast_to(np.int64(UNKNOWN_PAIR), (m,)),
         time=events.time,
         species=events.species,
         side=events.side,
-        order=np.full(m, UNKNOWN_CODE, dtype=np.uint8),
+        order=np.broadcast_to(np.uint8(UNKNOWN_CODE), (m,)),
     )
     # the same time and species columns: the same time-ordered view; its
     # order column is never read for it, since classify stops at the erased
@@ -332,6 +404,7 @@ def estimate_rates(
     Runs classify's pair checks first, so it rejects exactly the streams
     that classify rejects, with the same errors.
     """
+    min_pairs = _min_pairs(min_pairs)
     n_pairs, first_sum, seconds = _pair_join(events, n0)
     if n_pairs < min_pairs:
         raise InsufficientDataError(
@@ -347,6 +420,14 @@ def estimate_rates(
         rate = k / total if k else math.nan
         fits += [rate, rate / math.sqrt(k) if k else math.nan, k]
     return RateEstimates(*fits)
+
+
+def _min_pairs(value) -> int:
+    """value as an int; the rule for min_pairs: an integer >= 0, where 0
+    asks for no minimum (a bool is not one)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+        raise DomainError(f"min_pairs must be an integer >= 0, got {value!r}")
+    return int(value)
 
 
 class Verdict(Enum):
@@ -526,6 +607,7 @@ def detect(
     module docstring), bit for bit as the full evaluation.
     """
     _check_n0(n0)
+    min_pairs = _min_pairs(min_pairs)
     fit_args = None
     if isinstance(source, EventStream):
         if int(n0) != n0:
@@ -533,6 +615,8 @@ def detect(
         fit_args = (source, _positive_n0(int(n0)), min_pairs)
     threshold = default_threshold(n0) if threshold is None else _finite_positive(threshold, "threshold")
 
+    if not isinstance(reference, RateSet):
+        raise DomainError(f"reference must be a RateSet, got {reference!r}")
     distances: dict[str, float] = {}
     for h, gamma in ((Species.OR, reference.gamma_or), (Species.PA, reference.gamma_pa)):
         shape = product_model_distance(source, n0, h, gamma)

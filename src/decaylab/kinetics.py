@@ -164,12 +164,31 @@ def product_photons(t, h: Species, n0: float, rates: RateSet):
     return _maybe_scalar(n0 * -np.expm1(-rates.gamma(h) * tt), t)
 
 
+def _exact(values, dtype, name: str, error: type) -> np.ndarray:
+    """values as a dtype array; error, starting with name, when they are not
+    numbers or when the cast would change one (a safe cast changes none)."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # lists of unequal lengths
+        arr = np.empty(0, dtype=object)
+    if arr.dtype.kind not in "biuf":
+        raise error(f"{name} must be an array of numbers")
+    with np.errstate(invalid="ignore"):  # NaN or inf cast to an integer
+        cast = arr.astype(dtype, copy=False)
+    if not np.can_cast(arr.dtype, dtype) and not np.array_equal(cast, arr):
+        raise error(f"{name} holds values that casting to {np.dtype(dtype)} would change")
+    return cast
+
+
 def _validate_grid(grid) -> np.ndarray:
-    """grid as a float array: 1-d, non-empty, from t >= 0, strictly
-    increasing; each test is written so that a NaN point fails it."""
-    grid = np.asarray(grid, dtype=float)
+    """grid as a float array: numbers, 1-d, non-empty, finite, from t >= 0,
+    strictly increasing; finiteness is tested before the differences, which
+    inf - inf would turn into a warning and a NaN."""
+    grid = _exact(grid, np.float64, "grid", DomainError)
     if grid.ndim != 1 or grid.size == 0 or not grid[0] >= 0.0:
         raise DomainError("grid must be 1-d, non-empty, with times >= 0")
+    if not np.all(np.isfinite(grid)):
+        raise DomainError("grid times must be finite")
     if not np.all(np.diff(grid) > 0.0):
         raise DomainError("grid must be strictly increasing")
     return grid

@@ -32,7 +32,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, NoDecayError
-from .kinetics import PopulationCurve, _positive_n0
+from .kinetics import PopulationCurve, _exact, _positive_n0, _validate_grid
 from .rates import EntangledRates, RateSet, Species, _finite_positive, derive_rates
 
 __all__ = [
@@ -118,29 +118,13 @@ class PhotonEvent:
     order: EmissionOrder
 
 
-def _exact(values, dtype, name: str, error: type) -> np.ndarray:
-    """values as a dtype array; error, starting with name, when they are not
-    numbers or when the cast would change one (a safe cast changes none)."""
-    try:
-        arr = np.asarray(values)
-    except ValueError:  # lists of unequal lengths
-        arr = np.empty(0, dtype=object)
-    if arr.dtype.kind not in "biuf":
-        raise error(f"{name} must be an array of numbers")
-    with np.errstate(invalid="ignore"):  # NaN or inf cast to an integer
-        cast = arr.astype(dtype, copy=False)
-    if not np.can_cast(arr.dtype, dtype) and not np.array_equal(cast, arr):
-        raise error(f"{name} holds values that casting to {np.dtype(dtype)} would change")
-    return cast
-
-
 @dataclass(frozen=True)
 class EventStream:
     """Columnar photon record: parallel arrays, one row per photon.
 
     species, side and order hold the small integer codes defined at module
     level; pair_id is UNKNOWN_PAIR and order UNKNOWN_CODE after identity
-    erasure.  Rows produced by simulate are sorted by time (ties broken by
+    erasure (constant read-only views there).  Rows produced by simulate are sorted by time (ties broken by
     pair then order).  Columns are read-only views, so analyzer's pair join
     and time-ordered view are built once per stream; writing into a column
     raises ValueError, and mutating the arrays passed in after construction
@@ -184,6 +168,17 @@ class EventStream:
             raise DataError("unknown order code")
         if self.pair_id.size and self.pair_id.min() < UNKNOWN_PAIR:
             raise DataError(f"pair ids must be >= 0, or {UNKNOWN_PAIR} when erased")
+
+    @classmethod
+    def _unchecked(cls, **columns: np.ndarray) -> "EventStream":
+        """A stream of the five columns, by name, without __post_init__: only
+        for columns that already meet its rules (read-only, 1-d, of their
+        dtypes, of one length and valid values), each taken from a stream
+        that passed them or a constant that meets them."""
+        stream = object.__new__(cls)
+        for name, column in columns.items():
+            object.__setattr__(stream, name, column)
+        return stream
 
     def __len__(self) -> int:
         return self.time.size
@@ -320,6 +315,8 @@ class Scenario:
                 raise DomainError("product_species must be set in product mode")
         elif self.product_species is not None:
             raise DomainError("product_species only applies to product mode")
+        if not isinstance(self.rates, RateSet):
+            raise DomainError(f"rates must be a RateSet, got {self.rates!r}")
         t_max = _default_t_max(self.rates) if self.t_max is None else self.t_max
         object.__setattr__(self, "t_max", _finite_positive(t_max, "t_max"))
         if not isinstance(self.grid_points, (int, np.integer)) or self.grid_points < 2:
@@ -592,7 +589,7 @@ def histogram(
     from binary searches over the time column, put in time order first when
     it is not, so they are exact integers and conservation holds identically.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _validate_grid(grid)
     n0 = _positive_n0(n0)
     if mode not in (ENTANGLED, PRODUCT):
         raise DomainError(f"mode must be {ENTANGLED!r} or {PRODUCT!r}")

@@ -69,11 +69,18 @@ def _finite_positive(value, name: str) -> float:
     return number
 
 
-def _require_finite_complex(value: complex, name: str) -> complex:
-    value = complex(value)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
+def _finite_complex(value, name: str) -> complex:
+    """value as a complex; a DomainError starting with name unless it is a
+    number (a bool is not one) with finite real and imaginary parts."""
+    number = complex(math.nan)
+    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
+        try:
+            number = complex(value)
+        except OverflowError:  # an integer beyond the float range
+            number = complex(math.inf)
+    if not (math.isfinite(number.real) and math.isfinite(number.imag)):
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -93,8 +100,8 @@ class RateSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gamma_or", _finite_positive(self.gamma_or, "gamma_or"))
         object.__setattr__(self, "gamma_pa", _finite_positive(self.gamma_pa, "gamma_pa"))
-        object.__setattr__(self, "w_or", _require_finite_complex(self.w_or, "w_or"))
-        object.__setattr__(self, "w_pa", _require_finite_complex(self.w_pa, "w_pa"))
+        object.__setattr__(self, "w_or", _finite_complex(self.w_or, "w_or"))
+        object.__setattr__(self, "w_pa", _finite_complex(self.w_pa, "w_pa"))
 
     def gamma(self, h: Species) -> float:
         """Free rate of species h."""
@@ -140,7 +147,7 @@ def relative_modification(w: complex) -> float:
     Evaluated as (1 + Re w)^2 + (Im w)^2 - 1, which is exact at w = 0 and
     w = -1 and never returns a value below -1 in floating point.
     """
-    w = _require_finite_complex(w, "w")
+    w = _finite_complex(w, "w")
     re1 = 1.0 + w.real
     return re1 * re1 + w.imag * w.imag - 1.0
 

@@ -3,12 +3,13 @@
 import copy
 import pickle
 import tracemalloc
+import warnings
 from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decaylab import (
@@ -432,6 +433,45 @@ def test_erase_identities_shares_the_observed_columns():
     for c, column in before.items():
         assert np.array_equal(getattr(stream, c), column)
     assert stream.has_identities
+
+
+def test_erase_identities_allocates_no_column():
+    # constant identity views and no re-check of the shared columns: a
+    # 16 B/pair pair-id column and 1 B/row order column once came to 3.4 MB here
+    stream, _ = simulate(Scenario(n0=100_000, rates=RS11, seed=5))
+    tracemalloc.start()
+    try:
+        blind = erase_identities(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+    for c, code in (("pair_id", -1), ("order", 2)):
+        column = getattr(blind, c)
+        assert column.shape == (len(stream),) and not column.flags.writeable
+        assert column.dtype == getattr(stream, c).dtype and np.all(column == code)
+
+
+@pytest.mark.parametrize("name", ["time_ordered", "side_ordered", "product"])
+@pytest.mark.parametrize("view_kept", [True, False], ids=["view_kept", "fresh"])
+def test_detect_on_erased_views_matches_materialised_erasure(analyzer_streams, name, view_kept):
+    # the constant identity columns change no bit of detect: the same verdict
+    # as on a stream whose identity columns are filled arrays
+    n0, rates, _, streams = analyzer_streams
+    source = _fresh(streams[name])
+    if view_kept:
+        detect(source, n0, rates)
+    m = len(source)
+    filled = EventStream(
+        np.full(m, -1), source.time.copy(), source.species, source.side, np.full(m, 2, np.uint8)
+    )
+    got, want = detect(erase_identities(source), n0, rates), detect(filled, n0, rates)
+    assert got.verdict is want.verdict and got.reason == want.reason
+    assert _typed_bits([got.statistic, got.threshold]) == _typed_bits(
+        [want.statistic, want.threshold]
+    )
+    assert got.distances.keys() == want.distances.keys()
+    assert _typed_bits(got.distances.values()) == _typed_bits(want.distances.values())
 
 
 # ---------------------------------------------------------------------------
@@ -1038,6 +1078,61 @@ def test_classify_by_runs_matches_the_reference(seed, n0, runs, points, on_event
         assert have.dtype == np.int64 and np.array_equal(have, want)
 
 
+def _tally_case(seed, rows, ordering, step):
+    """A sound stream of rows photons: ceil(rows / 2) pairs, the first
+    rows // 2 of them with their second emission; times on a lattice of
+    spacing step, so that many are tied, put in time, side or shuffled
+    order."""
+    rng = np.random.default_rng(seed)
+    pairs, seconds = rows - rows // 2, rows // 2
+    t1 = rng.integers(0, round(5 / step), pairs) * step
+    t2 = t1[:seconds] + rng.integers(0, round(2 / step), seconds) * step
+    s1 = rng.integers(0, 2, pairs)
+    side1 = rng.integers(0, 2, pairs)
+    columns = [
+        np.r_[np.arange(pairs), np.arange(seconds)],
+        np.r_[t1, t2],
+        np.r_[s1, 1 - s1[:seconds]],
+        np.r_[side1, 1 - side1[:seconds]],
+        np.r_[np.zeros(pairs, int), np.ones(seconds, int)],
+    ]
+    if ordering == "time":
+        by = np.argsort(columns[1], kind="stable")
+    elif ordering == "side":
+        by = np.lexsort((columns[1], columns[3]))
+    else:
+        by = rng.permutation(rows)
+    return EventStream(*(c[by] for c in columns)), max(pairs, 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    # about a segment, and enough segments for several chunks of them
+    st.sampled_from([0, 1, _SEGMENT - 1, _SEGMENT, _SEGMENT + 1, 2 * _CHUNK + _SEGMENT + 3])
+    | st.integers(0, 4 * _SEGMENT),
+    st.sampled_from(["time", "side", "shuffled"]),
+    st.integers(1, 700),
+    st.floats(0.0, 1.0),
+    st.sampled_from([1 / 8, 2**-13]),
+)
+# grid points in over 2 * _CHUNK // _SEGMENT distinct segments: three chunks
+@example(7, 2 * _CHUNK + _SEGMENT + 3, "side", 700, 0.5, 2**-13)
+def test_classify_counts_match_a_brute_force_count(seed, rows, ordering, points, tied, step):
+    stream, n0 = _tally_case(seed, rows, ordering, step)
+    rng = np.random.default_rng(seed + 1)
+    # grid points on the lattice, tied with event times, and between and past them
+    lattice = rng.integers(0, round(8 / step), points) * step
+    between = rng.uniform(0.0, 8.0, points)
+    grid = np.unique(np.where(rng.random(points) < tied, lattice, between))
+    counts = classify(stream, grid, n0)
+    got = [counts.n1_or, counts.n1_pa, counts.n2_or, counts.n2_pa]
+    code = stream.order.astype(int) << 1 | stream.species
+    for c, have in enumerate(got):
+        want = [np.count_nonzero((stream.time <= g) & (code == c)) for g in grid]
+        assert have.dtype == np.int64 and have.tolist() == want
+
+
 def test_detect_on_a_time_ordered_stream_copies_no_column(million_pair_streams):
     # row blocks, not a mask, an index array and a compressed copy per
     # species (18 MB at 1e6 pairs)
@@ -1205,7 +1300,7 @@ def malformed_inputs(draw):
         np.array(column(st.integers(0, 1)), dtype=np.uint8),
         np.array(column(st.integers(0, 2)), dtype=np.uint8),
     )
-    point = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0, -1.0, np.nan, np.inf])
+    point = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0, -1.0, np.nan, np.inf, "a", 10**400])
     grid = draw(
         st.one_of(
             st.lists(point, max_size=6),
@@ -1214,24 +1309,60 @@ def malformed_inputs(draw):
         )
     )
     n0 = draw(st.one_of(st.integers(-1, 8), st.sampled_from([2.5, True, 2**63, 10**400, 10**13])))
-    return stream, grid, n0, draw(st.integers(0, 3))
+    min_pairs = draw(st.one_of(st.integers(0, 3), st.sampled_from(["x", None, 1.5, True, -1])))
+    return stream, grid, n0, min_pairs, draw(st.sampled_from([RS11, None, "x"]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(malformed_inputs(), st.sampled_from(["entangled", "product"]))
 def test_malformed_inputs_raise_only_package_errors(case, mode):
-    stream, grid, n0, min_pairs = case
+    stream, grid, n0, min_pairs, reference = case
     calls = (
         lambda: classify(stream, grid, n0),
         lambda: estimate_rates(stream, n0, min_pairs),
         lambda: histogram(stream, grid, n0, mode=mode),
-        lambda: detect(stream, n0, RS11, min_pairs=min_pairs).fitted_rates,
+        lambda: detect(stream, n0, reference, min_pairs=min_pairs).fitted_rates,
+        lambda: Scenario(n0=n0, rates=reference),
     )
     for call in calls:
         try:
             call()
         except DecayLabError:
             pass
+
+
+# each of these once raised a raw TypeError, AttributeError or numpy
+# ValueError, or (two inf points) a RuntimeWarning before its DomainError
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: detect(_hand_stream(), 1, RS11, min_pairs="x"),
+        lambda: estimate_rates(_hand_stream(), 1, min_pairs=None),
+        lambda: detect(_hand_stream(), 1, None),
+        lambda: Scenario(n0=10, rates=None),
+        lambda: classify(_hand_stream(), ["a", "b"], 1),
+        lambda: histogram(_hand_stream(), ["a", "b"], 1),
+        lambda: evaluate_curve(Scenario(n0=10, rates=RS11), grid=["a"]),
+        lambda: classify(_hand_stream(), [0.0, np.inf, np.inf], 1),
+        lambda: histogram(_hand_stream(), [0.0, 1e300, np.inf], 1),
+    ],
+    ids=[
+        "min_pairs-str",
+        "min_pairs-none",
+        "reference-none",
+        "rates-none",
+        "classify-str-grid",
+        "histogram-str-grid",
+        "curve-str-grid",
+        "inf-twice",
+        "inf-last",
+    ],
+)
+def test_analyzer_inputs_of_the_wrong_kind_are_domain_errors(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call()
 
 
 def _counts(n1_or):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -188,3 +189,29 @@ def _curve():
 def test_finite_positive_rule_raises_domain_errors(call):
     with pytest.raises(DomainError):
         call()
+
+
+# the finite-complex rule for every amplitude; a string once raised a raw
+# ValueError, None a TypeError
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: RateSet(1.0, 1.0, w_or="x"),
+        lambda: RateSet(1.0, 1.0, w_or=None),
+        lambda: RateSet(1.0, 1.0, w_pa=True),
+        lambda: RateSet(1.0, 1.0, w_pa=10**400),
+        lambda: relative_modification("0.5"),
+        lambda: entangled_rate(1.0, complex(math.nan, 0.0)),
+    ],
+    ids=["str", "none", "bool", "huge-int", "relative-str", "nan"],
+)
+def test_finite_complex_rule_raises_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_finite_complex_rule_keeps_every_number():
+    rates = RateSet(1.0, 1.0, w_or=np.float32(0.25), w_pa=np.complex64(-0.5 + 0.5j))
+    assert (rates.w_or, rates.w_pa) == (0.25 + 0j, -0.5 + 0.5j)
+    assert type(rates.w_or) is complex and type(rates.w_pa) is complex
+    assert RateSet(1.0, 1.0, w_or=1).w_or == 1 + 0j
