@@ -32,16 +32,19 @@ by default three times the 95% Kolmogorov fluctuation scale 1.36/sqrt(n0).
 
 Both scans read one time-ordered view of a stream, kept on it: its own
 columns when its times never decrease, as simulate's, else one key sort's
-gather of them.  The view is split into segments of _SEGMENT rows.  On its
-first classify a stream also keeps, per segment, the pa, second and second pa
-rows before it (three integers per segment); classify then searches the grid
-in the view and counts each grid point as those tallies plus the rows of its
-own segment before it, reading only the segments that grid points fall in.
-detect bounds the gap of every segment from its first and last times and the
-counts around it, and evaluates the gaps exactly only in segments whose bound
-can reach the supremum.  Erasing identities copies nothing: the erased stream
-shares the observed columns, and its pair-id and order columns are constant
-read-only views of a single value.
+gather of them.  The view is split into segments of _SEGMENT rows and keeps
+each segment's first time (then the last time) and the pa rows before it
+(then the pa rows in all); the or rows before a segment are its first row
+less its pa rows.  On its first classify a stream also keeps the second and
+second pa rows before each segment; classify then searches the grid in the
+view and counts each grid point as those prefixes plus the rows of its own
+segment before it, reading only the segments that grid points fall in.
+detect bounds the gap of every segment from the model at its kept end times
+and the counts before and after it, so a call gathers nothing to bound, and
+evaluates the gaps exactly only in segments whose bound can reach the
+supremum.  Erasing identities copies nothing: the erased stream shares the
+observed columns and the kept view, and its pair-id and order columns are
+constant read-only views of a single value.
 """
 
 from __future__ import annotations
@@ -143,45 +146,57 @@ class ClassifiedCounts:
 
 def _ordered(events: EventStream) -> tuple:
     """The stream's (time, species, order) columns in time order (its own when
-    its time never decreases, else one key sort and a gather), then the pa
-    rows per _SEGMENT-row segment: uint16 sums are exact there, and a sum
-    over an axis casts in buffers, with no column copy.  Found once per
-    stream and kept in its __dict__, as the pair join is."""
+    its time never decreases, else one key sort and a gather), then
+    _segment_ends of its time and _prefix_sums of its pa rows.  Found once per stream and kept in its __dict__, as the pair join
+    is, so every detect reads the segment endpoints without gathering them."""
     memo = vars(events)
     if "_ordered" not in memo:
         time, species, order = events.time, events.species, events.order
         if not _nondecreasing(time):
             idx, time = _time_order(time)
-            species, order = species.take(idx), order.take(idx)
-        memo["_ordered"] = time, species, order, _segment_sums(species)
+            species = species.take(idx)
+            # an erased order column is one value at stride 0, in any order
+            if order.strides != (0,):
+                order = order.take(idx)
+        memo["_ordered"] = time, species, order, _segment_ends(time), _prefix_sums(species)
     return memo["_ordered"]
 
 
-def _segment_sums(codes: np.ndarray) -> np.ndarray:
-    """The 0/1 codes summed per _SEGMENT-row segment, read-only int64."""
-    whole = codes.size // _SEGMENT
+def _segment_ends(time: np.ndarray) -> np.ndarray:
+    """The first time of each _SEGMENT-row segment, then the last time: the
+    rows of segment s lie between ends s and s + 1."""
+    return np.append(time[::_SEGMENT], time[-1:])
+
+
+def _prefix_sums(codes: np.ndarray) -> np.ndarray:
+    """The 0/1 codes summed before each _SEGMENT-row segment, then in all:
+    read-only int64, one longer than the segments.  uint16 sums are exact in
+    a segment, and a sum over an axis casts in buffers, with no column copy."""
+    whole, rest = divmod(codes.size, _SEGMENT)
+    prefix = np.zeros(whole + bool(rest) + 1, dtype=np.int64)
     sums = codes[: whole * _SEGMENT].reshape(whole, _SEGMENT).sum(axis=1, dtype=np.uint16)
-    if codes.size % _SEGMENT:
-        sums = np.append(sums, codes[whole * _SEGMENT :].sum(dtype=np.uint16))
-    sums = sums.astype(np.int64)
-    sums.flags.writeable = False
-    return sums
+    np.cumsum(sums, dtype=np.int64, out=prefix[1 : whole + 1])
+    if rest:
+        prefix[-1] = prefix[-2] + codes[whole * _SEGMENT :].sum(dtype=np.int64)
+    prefix.flags.writeable = False
+    return prefix
 
 
-def _tallies(events: EventStream) -> np.ndarray:
-    """(3, segments) int64: the pa rows, second rows and second pa rows of
-    the stream's time-ordered view before each of its _SEGMENT-row segments.
-    Found on the stream's first classify and kept in its __dict__ beside the
-    view, so a caller that only detects never pays for it."""
+def _row_starts(n: int) -> np.ndarray:
+    """The first row of each _SEGMENT-row segment of n rows, then n."""
+    return np.minimum(np.arange(0, n + _SEGMENT, _SEGMENT), n)
+
+
+def _tallies(events: EventStream) -> tuple:
+    """_prefix_sums of the second rows and of the second pa rows of the
+    stream's time-ordered view; with the view's pa prefix they count every
+    category before each segment.  Found on the stream's first classify and
+    kept in its __dict__ beside the view, so a caller that only detects
+    never pays for them."""
     memo = vars(events)
     if "_tallies" not in memo:
-        _, species, order, pa = _ordered(events)
-        per_segment = (pa, _segment_sums(order), _segment_sums(species & order))
-        tallies = np.zeros((3, pa.size), dtype=np.int64)
-        for row, sums in zip(tallies, per_segment):
-            np.cumsum(sums[:-1], out=row[1:])
-        tallies.flags.writeable = False
-        memo["_tallies"] = tallies
+        _, species, order, *_ = _ordered(events)
+        memo["_tallies"] = _prefix_sums(order), _prefix_sums(species & order)
     return memo["_tallies"]
 
 
@@ -256,7 +271,7 @@ def classify(events: EventStream, grid, n0: int) -> ClassifiedCounts:
     Runs the pair checks shared with estimate_rates: identities must be
     intact, pair ids must fit inside [0, n0), no pair may emit two firsts or
     two seconds, and a second must follow a first of the companion species.
-    The counts come from the tallies kept on the stream's time-ordered view
+    The counts come from the prefixes kept on the stream's time-ordered view
     and the rows of the segments that grid points fall in.
     """
     _pair_join(events, n0)
@@ -266,16 +281,17 @@ def classify(events: EventStream, grid, n0: int) -> ClassifiedCounts:
 
 def _tally_counts(events: EventStream, grid: np.ndarray) -> tuple:
     """Rows of each category (first or, first pa, second or, second pa) at
-    or before each grid point, from the kept tallies.
+    or before each grid point, from the kept prefixes.
 
     A grid point's edge e, the rows of the time-ordered view at or before
-    it, lies in segment s = (e - 1) // _SEGMENT (0 when e = 0): the tallies
-    give the rows before s and _segment_table the rows of s before e.  Each
+    it, lies in segment s = (e - 1) // _SEGMENT (0 when e = 0): the kept
+    prefixes give the rows before s and _segment_table the rows of s before
+    e.  Each
     distinct segment is read once, _CHUNK // _SEGMENT of them at a time, so
     no temporary has more than a few words per grid point or row read.
     """
-    time, species, order, _ = _ordered(events)
-    tallies = _tallies(events)
+    time, species, order, *_, pa = _ordered(events)
+    prefixes = (pa, *_tallies(events))
     edges = np.searchsorted(time, grid, side="right")
     # pa, second and second pa rows; the grid ascends, and so do the segments
     counts = np.zeros((3, grid.size), dtype=np.int64)
@@ -296,7 +312,7 @@ def _tally_counts(events: EventStream, grid: np.ndarray) -> tuple:
         at *= _SEGMENT + 1
         at += edges[p0:p1]
         at -= seg[p0:p1] * _SEGMENT
-        table = _segment_table(species, order, segs, tallies).reshape(3, -1)
+        table = _segment_table(species, order, segs, prefixes).reshape(3, -1)
         for row, entries in zip(counts[:, p0:p1], table):
             np.take(entries, at, out=row)
     pa, second, both = counts
@@ -308,11 +324,12 @@ def _tally_counts(events: EventStream, grid: np.ndarray) -> tuple:
     return edges, pa, second, both
 
 
-def _segment_table(species, order, segs, tallies) -> np.ndarray:
+def _segment_table(species, order, segs, prefixes) -> np.ndarray:
     """(3, segs.size, _SEGMENT + 1): the pa, second and second pa rows of
     the view before each rank 0.._SEGMENT of each ascending segment in segs
     (the last segment of the view may be shorter; its missing rows count
-    as none)."""
+    as none), starting from prefixes, the pa, second and second pa rows
+    before each segment of the view."""
     table = np.zeros((3, segs.size, _SEGMENT + 1), dtype=np.int64)
     whole = species.size // _SEGMENT
     full = segs[: np.searchsorted(segs, whole)]
@@ -322,7 +339,8 @@ def _segment_table(species, order, segs, tallies) -> np.ndarray:
             tail = column[whole * _SEGMENT :]
             row[-1, 1 : tail.size + 1] = tail
     np.bitwise_and(table[0], table[1], out=table[2])
-    table[:, :, 0] = tallies[:, segs]
+    for row, prefix in zip(table, prefixes):
+        row[:, 0] = prefix[segs]
     return np.cumsum(table, axis=2, out=table)
 
 
@@ -422,11 +440,12 @@ def estimate_rates(
     return RateEstimates(*fits)
 
 
-def _min_pairs(value) -> int:
-    """value as an int; the rule for min_pairs: an integer >= 0, where 0
-    asks for no minimum (a bool is not one)."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
-        raise DomainError(f"min_pairs must be an integer >= 0, got {value!r}")
+def _min_pairs(value, name: str = "min_pairs", least: int = 0) -> int:
+    """value as an int; a DomainError starting with name unless it is an
+    integer >= least (a bool is not one).  min_pairs takes 0, which asks for
+    no minimum."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
@@ -478,36 +497,42 @@ def _model(t: np.ndarray, gamma: float) -> np.ndarray:
     return np.negative(m, out=m)
 
 
-def _sup_distance(time, n0: float, gamma: float, counts=None, species=None, code=None) -> float:
+def _sup_distance(time, n0: float, gamma: float, segments=None, species=None, code=None) -> float:
     """sup over t of |count(<= t)/n0 - (1 - exp(-gamma t))|, counting the
     rows of a non-decreasing time column whose species is code (every row
-    when species is None); counts holds those rows per _SEGMENT-row segment.
+    when species is None).  segments is (ends, prefix), as kept with a
+    stream's view: each _SEGMENT-row segment's first time, then the last
+    time, and the counted rows before each segment, then in all.  They are
+    found from time, counting every row, when segments is None.
 
     The supremum is taken at the jump points from both sides plus the
     t -> infinity tail.  Inside a segment the model lies between its values
-    at the segment's first and last rows, and the levels between the counts
-    before and after the segment, which bounds every gap in it.  Segments
+    at the segment's two ends, and the levels between the counts before and
+    after the segment, which bounds every gap in it.  Segments
     are read, a chunk at a time, only while their bound plus _MARGIN reaches
     the largest exact gap found; those gaps run the same ufuncs on the same
     operands as a full evaluation, and max is exact, so no bit moves.
     """
-    n = time.size
-    if counts is None:
-        counts = _segment_sizes(n)
-    upto = np.cumsum(counts, dtype=float)  # rows counted through each segment
-    prior = upto - counts
-    k = int(upto[-1]) if n else 0
+    if segments is None:
+        segments = _segment_ends(time), _row_starts(time.size)
+    ends, prefix = segments
+    k = int(prefix[-1])
     # a Python 0.0 seed would turn an all-zero distance into a float
     before = after = np.float64(0.0)
     tail = abs(k / n0 - 1.0)
     if k:
-        last = time[np.minimum(np.arange(_SEGMENT, n + _SEGMENT, _SEGMENT), n) - 1]
-        bound = np.maximum(_model(last, gamma) - prior / n0, upto / n0 - _model(time[::_SEGMENT], gamma))
-        bound[counts == 0] = -np.inf
+        # the levels before and after each segment, exact below 2**53
+        levels = prefix.astype(float)
+        levels /= n0
+        model = _model(ends, gamma)
+        bound = model[1:] - levels[:-1]
+        np.subtract(levels[1:], model[:-1], out=model[:-1])
+        np.maximum(bound, model[:-1], out=bound)
+        bound[prefix[1:] == prefix[:-1]] = -np.inf
         best = tail
         todo = np.array([np.argmax(bound)])
         while todo.size:
-            gaps = _segment_gaps(time, todo, prior, counts, n0, gamma, species, code)
+            gaps = _segment_gaps(time, todo, prefix, n0, gamma, species, code)
             before, after = np.maximum(before, gaps[0]), np.maximum(after, gaps[1])
             best = max(best, *gaps)
             bound[todo] = -np.inf
@@ -516,15 +541,15 @@ def _sup_distance(time, n0: float, gamma: float, counts=None, species=None, code
     return max(before, after, tail)
 
 
-def _segment_gaps(time, seg, prior, counts, n0, gamma, species, code) -> tuple:
+def _segment_gaps(time, seg, prefix, n0, gamma, species, code) -> tuple:
     """The largest gaps left and right of the jumps in segments seg."""
     t = _segment_rows(time, seg)
     if species is not None:
         t = np.compress(_segment_rows(species, seg) == code, t)
-    c = counts[seg]
+    c = prefix[seg + 1] - prefix[seg]
     # a row's level is the counted rows before it: those before its segment,
     # then its rank inside the segment
-    levels = np.repeat(prior[seg] - (np.cumsum(c) - c), c)
+    levels = np.repeat((prefix[seg] - (np.cumsum(c) - c)).astype(float), c)
     levels += np.arange(t.size)
     m = _model(t, gamma)
     gap = m - levels / n0
@@ -540,17 +565,6 @@ def _segment_rows(a: np.ndarray, seg: np.ndarray) -> np.ndarray:
     short = seg[-1] == whole  # the last segment, shorter than _SEGMENT
     rows = a[: whole * _SEGMENT].reshape(whole, _SEGMENT)[seg[:-1] if short else seg].ravel()
     return np.concatenate([rows, a[whole * _SEGMENT :]]) if short else rows
-
-
-def _segment_counts(events: EventStream, code: int) -> np.ndarray:
-    """Rows of the species code in each _SEGMENT-row segment of the stream's
-    time-ordered view."""
-    pa = _ordered(events)[3]
-    return pa if code == PA_CODE else _segment_sizes(len(events)) - pa
-
-
-def _segment_sizes(n: int) -> np.ndarray:
-    return np.minimum(n - np.arange(0, n, _SEGMENT), _SEGMENT)
 
 
 def _grid_distance(grid: np.ndarray, photons: np.ndarray, n0: float, gamma: float) -> float:
@@ -569,8 +583,9 @@ def product_model_distance(source, n0: float, h: Species, gamma: float) -> float
     gamma = _finite_positive(gamma, "gamma")
     if isinstance(source, EventStream):
         code = SPECIES_CODE[h]
-        time, species, *_ = _ordered(source)
-        return _sup_distance(time, n0, gamma, _segment_counts(source, code), species, code)
+        time, species, _, ends, pa = _ordered(source)
+        prefix = pa if code == PA_CODE else _row_starts(time.size) - pa
+        return _sup_distance(time, n0, gamma, (ends, prefix), species, code)
     if not isinstance(source, (ClassifiedCounts, PopulationCurve)):
         raise DomainError("source must be an EventStream, ClassifiedCounts, or PopulationCurve")
     return _grid_distance(source.grid, np.asarray(source.photons(h), dtype=float), n0, gamma)
@@ -579,7 +594,8 @@ def product_model_distance(source, n0: float, h: Species, gamma: float) -> float
 def _companion_mass(source, h: Species, n0: float) -> float:
     # source has passed product_model_distance's type check
     if isinstance(source, EventStream):
-        return int(_segment_counts(source, SPECIES_CODE[h]).sum()) / n0
+        pa = int(_ordered(source)[-1][-1])  # the view's pa rows in all
+        return (pa if h is Species.PA else len(source) - pa) / n0
     photons = source.photons(h)
     return float(np.max(photons)) / n0 if len(photons) else 0.0
 

@@ -21,11 +21,12 @@ import numpy as np
 
 from .analyzer import (
     MIN_PAIRS_DEFAULT,
+    _min_pairs,
     classify,
     detect,
     reconstruct,
 )
-from .errors import ConfigError, DecayLabError
+from .errors import ConfigError, DecayLabError, DomainError
 from .kinetics import (
     conservation_residual,
     evaluate_curve,
@@ -38,7 +39,7 @@ from .montecarlo import (
     Scenario,
     simulate,
 )
-from .rates import RateSet, Species, derive_rates, lambda_unweighted
+from .rates import RateSet, Species, _finite_positive, derive_rates, lambda_unweighted
 
 __all__ = [
     "STAGES",
@@ -130,12 +131,15 @@ class RunConfig:
         object.__setattr__(self, "emit", emit)
         if "reconstruction" in emit and not self.scenario.is_entangled:
             raise ConfigError("emit includes reconstruction, which requires mode=entangled")
-        if self.detection_min_pairs < 1:
-            raise ConfigError("detection_min_pairs must be >= 1")
-        for name in ("lifetime_tol", "detection_threshold"):
-            value = getattr(self, name)
-            if value is not None and not (value > 0 and math.isfinite(value)):
-                raise ConfigError(f"{name} must be finite and positive")
+        try:
+            pairs = _min_pairs(self.detection_min_pairs, "detection_min_pairs", least=1)
+            object.__setattr__(self, "detection_min_pairs", pairs)
+            for name in ("lifetime_tol", "detection_threshold"):
+                value = getattr(self, name)
+                if value is not None:
+                    object.__setattr__(self, name, _finite_positive(value, name))
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def parse_complex(text: str) -> complex:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -543,7 +542,10 @@ def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
     spans = [(lo, min(lo + _BLOCK, n0)) for lo in range(0, n0, _BLOCK)]
     workers = _thread_count(scenario.parallel)
     if workers > 1 and len(spans) > 1:
+        # imported here, since it costs every import of the package ~6 ms;
         # blocks write to disjoint slices, so scheduling order cannot matter
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda span: fill(*span), spans))
     else:

@@ -36,7 +36,7 @@ from decaylab import (
     reconstruct,
     simulate,
 )
-from decaylab.analyzer import _CHUNK, _SEGMENT, _segment_gaps, _sup_distance
+from decaylab.analyzer import _CHUNK, _SEGMENT, _ordered, _segment_gaps, _sup_distance
 from decaylab.montecarlo import (
     FIRST_CODE,
     L_CODE,
@@ -44,6 +44,7 @@ from decaylab.montecarlo import (
     PA_CODE,
     R_CODE,
     SECOND_CODE,
+    UNKNOWN_CODE,
     _nondecreasing,
     _time_order,
 )
@@ -979,6 +980,100 @@ def test_erased_copy_of_a_sorted_view_stays_unclassifiable(analyzer_streams):
     for call in (lambda: classify(erased, grid, n0), lambda: estimate_rates(erased, n0)):
         with pytest.raises(UnclassifiableError):
             call()
+
+
+def test_erased_view_passes_the_constant_order_column_through(analyzer_streams):
+    # an erased copy made before its source keeps a view sorts its own; its
+    # order column is one value, so the view keeps it at stride 0, uncopied
+    n0, rates, _, streams = analyzer_streams
+    source = _fresh(streams["side_ordered"])
+    erased = erase_identities(source)
+    blind = detect(erased, n0, rates)
+    order = _ordered(erased)[2]
+    assert order.strides == (0,) and order.size == len(erased) and order[0] == UNKNOWN_CODE
+    direct = detect(source, n0, rates)
+    assert np.array_equal(_ordered(erased)[-1], _ordered(source)[-1])
+    assert _typed_bits(blind.distances.values()) == _typed_bits(direct.distances.values())
+
+
+def test_erased_detect_reuses_the_source_segment_summary(analyzer_streams):
+    # the erased copy shares the view, and with it the kept segment ends and
+    # pa prefix: its detect neither gathers nor counts a segment again
+    n0, rates, _, streams = analyzer_streams
+    stream = _fresh(streams["side_ordered"])
+    direct = detect(stream, n0, rates)
+    erased = erase_identities(stream)
+    with (
+        mock.patch("decaylab.analyzer._sup_distance", wraps=_sup_distance) as sup,
+        mock.patch("decaylab.analyzer._segment_ends", side_effect=AssertionError),
+        mock.patch("decaylab.analyzer._prefix_sums", side_effect=AssertionError),
+    ):
+        blind = detect(erased, n0, rates)
+    ends, pa = _ordered(stream)[3:]
+    assert [call.args[3][0] is ends for call in sup.call_args_list] == [True, True]
+    assert [call.args[3][1] is pa for call in sup.call_args_list] == [False, True]
+    assert _typed_bits(blind.distances.values()) == _typed_bits(direct.distances.values())
+
+
+@pytest.mark.parametrize("name", ["time_ordered", "side_ordered"])
+def test_a_second_detect_gathers_no_segment_ends(million_pair_streams, name):
+    # the warm call's temporaries are a few segment-sized arrays (15,626
+    # float64 here); the segment-end gathers and counts that a call once
+    # redid put the peak at 1.0 MB
+    n0, rates, _, streams = million_pair_streams
+    stream = _fresh(streams[name])
+    detect(stream, n0, rates)
+    for source in (stream, erase_identities(stream)):
+        tracemalloc.start()
+        try:
+            detect(source, n0, rates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**18
+
+
+def _summary_case(seed, rows, ordering, absent):
+    """_tally_case's stream, with every row of one species when absent
+    names the other."""
+    stream, pairs = _tally_case(seed, rows, ordering, 2**-13)
+    if absent is not None:
+        species = np.full(rows, PA_CODE if absent is Species.OR else OR_CODE)
+        stream = EventStream(stream.pair_id, stream.time, species, stream.side, stream.order)
+    return stream, pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(
+        [0, 1, _SEGMENT - 1, _SEGMENT, _SEGMENT + 1]
+        + [k * _CHUNK + d for k in (1, 2) for d in (-1, 1)]
+    )
+    | st.integers(0, 4 * _SEGMENT),
+    st.sampled_from(["time", "side", "shuffled"]),
+    st.sampled_from([None, Species.OR, Species.PA]),
+    st.floats(0.25, 4.0),
+    st.floats(1e-2, 1e2),
+)
+def test_distance_from_the_kept_summary_matches_the_compressed_times(
+    seed, rows, ordering, absent, scale, gamma
+):
+    stream, pairs = _summary_case(seed, rows, ordering, absent)
+    n0 = max(round(scale * pairs), 1)
+
+    def distances(source):
+        return _typed_bits(product_model_distance(source, n0, h, gamma) for h in Species)
+
+    codes = [OR_CODE if h is Species.OR else PA_CODE for h in Species]
+    want = _typed_bits(
+        _sup_distance(np.sort(np.compress(stream.species == c, stream.time)), n0, gamma)
+        for c in codes
+    )
+    early = erase_identities(stream)
+    assert distances(early) == want  # made before the source keeps a view: its own
+    assert distances(stream) == want
+    assert distances(erase_identities(stream)) == want  # the source's view
 
 
 def _segment_case(seed, size, gamma_or, gamma_pa, absent):

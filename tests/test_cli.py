@@ -168,6 +168,25 @@ def test_range_errors_name_the_line_of_their_key(line):
     assert str(err.value).startswith(f"line 6: {key} ")
 
 
+# values that only a caller of RunConfig, not parse_config, can pass
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("lifetime_tol", "x"),
+        ("detection_min_pairs", "3"),
+        ("detection_threshold", True),
+        ("detection_min_pairs", 2.5),
+    ],
+)
+def test_run_config_values_of_the_wrong_type_are_config_errors(field, value):
+    scenario = Scenario(n0=100, rates=RateSet(1.0, 1.0))
+    with pytest.raises(ConfigError) as err:
+        RunConfig(scenario, **{field: value})
+    assert str(err.value).startswith(f"{field} ")
+    config = RunConfig(scenario, lifetime_tol=1, detection_min_pairs=np.int64(3))
+    assert type(config.lifetime_tol) is float and type(config.detection_min_pairs) is int
+
+
 @pytest.mark.parametrize("slow", ["gamma_or", "gamma_pa"])
 def test_default_t_max_overflow_names_the_slow_rate(slow):
     # ten lifetimes of a 1e-320 rate overflow a float, though t_max is unset

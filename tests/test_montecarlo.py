@@ -2,7 +2,10 @@
 
 import hashlib
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decaylab
 from decaylab import (
     ConfigError,
     DataError,
@@ -160,6 +164,35 @@ def test_parallel_run_bit_identical(monkeypatch):
     b, _ = simulate(threaded)
     for name in ("pair_id", "time", "species", "side", "order"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+_THREAD_POOL_IMPORT = """
+import os, sys
+import decaylab
+from decaylab.montecarlo import _BLOCK
+assert "concurrent.futures" not in sys.modules
+rates = decaylab.RateSet(1.0, 0.5, w_or=0.2)
+serial, _ = decaylab.simulate(decaylab.Scenario(n0=2 * _BLOCK, rates=rates, seed=5))
+assert "concurrent.futures" not in sys.modules
+os.environ["DECAYLAB_THREADS"] = "2"
+threaded, _ = decaylab.simulate(
+    decaylab.Scenario(n0=2 * _BLOCK, rates=rates, seed=5, parallel=True)
+)
+assert "concurrent.futures" in sys.modules
+for name in ("pair_id", "time", "species", "side", "order"):
+    assert getattr(serial, name).tobytes() == getattr(threaded, name).tobytes(), name
+"""
+
+
+def test_thread_pool_is_imported_by_threaded_simulate_only():
+    # concurrent.futures, and the logging it imports, cost every import of
+    # the package; only a threaded simulate of more than one block needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(decaylab.__file__).parents[1]))
+    env.pop("DECAYLAB_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREAD_POOL_IMPORT], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_thread_env_validation(monkeypatch):
