@@ -147,8 +147,9 @@ class ClassifiedCounts:
 def _ordered(events: EventStream) -> tuple:
     """The stream's (time, species, order) columns in time order (its own when
     its time never decreases, else one key sort and a gather), then
-    _segment_ends of its time and _prefix_sums of its pa rows.  Found once per stream and kept in its __dict__, as the pair join
-    is, so every detect reads the segment endpoints without gathering them."""
+    _segment_ends of its time and _prefix_sums of its pa rows.  Found once
+    per stream and kept in its __dict__, as the pair join is, so no later
+    detect gathers or counts a segment to bound it."""
     memo = vars(events)
     if "_ordered" not in memo:
         time, species, order = events.time, events.species, events.order
