@@ -542,8 +542,9 @@ def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
     spans = [(lo, min(lo + _BLOCK, n0)) for lo in range(0, n0, _BLOCK)]
     workers = _thread_count(scenario.parallel)
     if workers > 1 and len(spans) > 1:
-        # imported here, since it costs every import of the package ~6 ms;
-        # blocks write to disjoint slices, so scheduling order cannot matter
+        # imported here, not at the top, since it and the logging it loads
+        # would slow every import of the package; blocks write to disjoint
+        # slices, so scheduling order cannot matter
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -1065,11 +1065,9 @@ def test_distance_from_the_kept_summary_matches_the_compressed_times(
     def distances(source):
         return _typed_bits(product_model_distance(source, n0, h, gamma) for h in Species)
 
-    codes = [OR_CODE if h is Species.OR else PA_CODE for h in Species]
-    want = _typed_bits(
-        _sup_distance(np.sort(np.compress(stream.species == c, stream.time)), n0, gamma)
-        for c in codes
-    )
+    times = [np.sort(np.compress(stream.species == c, stream.time)) for c in (OR_CODE, PA_CODE)]
+    want = _typed_bits(_sup_distance(t, n0, gamma) for t in times)
+    assert want == _typed_bits(_stream_distance_reference(t, n0, gamma) for t in times)
     early = erase_identities(stream)
     assert distances(early) == want  # made before the source keeps a view: its own
     assert distances(stream) == want
