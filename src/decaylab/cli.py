@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
@@ -121,8 +122,17 @@ class RunConfig:
     detection_min_pairs: int = MIN_PAIRS_DEFAULT
 
     def __post_init__(self) -> None:
+        if not isinstance(self.scenario, Scenario):
+            raise ConfigError(f"scenario must be a Scenario, got {self.scenario!r}")
+        if not isinstance(self.outdir, (str, os.PathLike)):
+            raise ConfigError(f"outdir must be a path, got {self.outdir!r}")
         object.__setattr__(self, "outdir", Path(self.outdir))
-        emit = frozenset(self.emit)
+        try:
+            emit = frozenset(self.emit)
+        except TypeError:  # not iterable, or holding unhashable items
+            emit = None
+        if isinstance(self.emit, str) or emit is None or not all(isinstance(e, str) for e in emit):
+            raise ConfigError(f"emit must be a collection of stage names, got {self.emit!r}")
         if not emit:
             raise ConfigError("emit must name at least one stage")
         unknown = emit - set(STAGES)

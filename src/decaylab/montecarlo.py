@@ -63,15 +63,14 @@ UNKNOWN_PAIR = -1
 _BLOCK = 1 << 16
 _MAX_THREADS = 64
 
-# Bytes simulate holds per entangled pair at its peak, reached in histogram:
-# 38 of stream columns (two rows of int64 pair id, float64 time and three
-# uint8 codes) and ~12 of category codes and row lists, 50 in all.  The
-# build before it needs ~41: 16 of times and 16 of sort keys, which become
-# the time and pair columns, 1 of draw codes and 8 of uint8 columns and
-# gathered codes.  tracemalloc reads 50 at n0 = 1e6 and up to 84 at 1e5,
-# where the draw blocks' fixed buffers weigh more; 56 keeps ~10% headroom
-# at scale.  Product mode needs about 28.
-_PEAK_BYTES_PER_PAIR = 56
+# Bytes simulate holds per entangled pair at its peak, reached while the
+# stream's code columns are decoded: 38 of stream columns (two rows of int64
+# pair id, float64 time and three uint8 codes) and 1 of draw codes, 39 in
+# all; every other buffer of the draws, the decoding and histogram is one
+# _BLOCK of scratch.  tracemalloc reads 39.1 at n0 = 1e6 (40.6 on two
+# threads, whose draw blocks overlap) and 71 at 1e5, where the fixed blocks
+# weigh more; 44 keeps ~10% headroom at scale.  Product mode needs about 20.
+_PEAK_BYTES_PER_PAIR = 44
 
 # Bytes an all-stage CLI run holds per grid point at its peak, reached while
 # reconstruction is compared with the histogram (each curve is freed after
@@ -155,9 +154,11 @@ class EventStream:
             elif arr.size != n:
                 raise DataError("event columns must have equal length")
             object.__setattr__(self, name, arr)
-        if not np.all(np.isfinite(self.time)):
+        # min and max carry any NaN, so no n-row mask is needed; -0.0 passes
+        lo, hi = (self.time.min(), self.time.max()) if self.time.size else (0.0, 0.0)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise DataError("event times must be finite")
-        if self.time.size and self.time.min() < 0.0:
+        if lo < 0.0:
             raise DataError("event times must be >= 0")
         if self.species.size and self.species.max() > PA_CODE:
             raise DataError("unknown species code")
@@ -310,8 +311,9 @@ class Scenario:
         if self.mode not in (ENTANGLED, PRODUCT):
             raise DomainError(f"mode must be {ENTANGLED!r} or {PRODUCT!r}")
         if self.mode == PRODUCT:
-            if self.product_species is None:
-                raise DomainError("product_species must be set in product mode")
+            if not isinstance(self.product_species, Species):
+                got = self.product_species
+                raise DomainError(f"product_species must be a Species, got {got!r}")
         elif self.product_species is not None:
             raise DomainError("product_species only applies to product mode")
         if not isinstance(self.rates, RateSet):
@@ -326,6 +328,8 @@ class Scenario:
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
             raise DomainError("seed must be an unsigned 64-bit integer")
         object.__setattr__(self, "seed", int(self.seed))
+        if not isinstance(self.parallel, (bool, np.bool_)):
+            raise DomainError(f"parallel must be a bool, got {self.parallel!r}")
         object.__setattr__(self, "parallel", bool(self.parallel))
 
     @property
@@ -338,29 +342,38 @@ class Scenario:
 
 def pair_substream(seed: int, pair_id: int) -> np.random.Generator:
     """Generator positioned at pair_id's private block of the seeded stream."""
-    if pair_id < 0:
-        raise DomainError("pair_id must be >= 0")
-    bit_gen = np.random.Philox(key=seed)
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
+        raise DomainError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    if not isinstance(pair_id, (int, np.integer)) or pair_id < 0:
+        raise DomainError(f"pair_id must be an integer >= 0, got {pair_id!r}")
+    bit_gen = np.random.Philox(key=int(seed))
     if pair_id:
-        bit_gen.advance(pair_id)
+        bit_gen.advance(int(pair_id))
     return np.random.Generator(bit_gen)
 
 
-def _entangled_from_uniforms(u: np.ndarray, rates: RateSet, er: EntangledRates):
-    # u has shape (m, 4); columns: first time, species, survivor delay, side
-    gamma_t = er.gamma_t
-    t1 = -np.log1p(-u[:, 0]) / gamma_t
-    first_or = u[:, 1] < er.gamma_t_or / gamma_t
-    g_survivor = np.where(first_or, rates.gamma_pa, rates.gamma_or)
-    t2 = t1 - np.log1p(-u[:, 2]) / g_survivor
-    first_left = u[:, 3] < 0.5
-    return t1, first_or, t2, first_left
+def _draw(u: np.ndarray, out: np.ndarray, gamma: float, p_or=None, survivor=None) -> np.ndarray:
+    """The sampling kernel: write the times drawn from uniforms u (m, 4; first
+    time, species, survivor delay, side) into out's columns, one per emission,
+    and return the codes of the first: the side of a product atom (one column),
+    species | side << 1 of a pair (two), pa when u >= p_or, whose survivor then
+    decays at survivor[pa].  log1p(-u) / -g has the bits of -log1p(-u) / g and
+    is never -0.0."""
+    x = np.log1p(-u[:, 0])
+    t1 = np.divide(x, -gamma, out=out[:, 0])
+    right = (u[:, 3] >= 0.5).view(np.uint8)
+    if out.shape[1] == 1:
+        return right
+    pa = (u[:, 1] >= p_or).view(np.uint8)
+    np.log1p(np.negative(u[:, 2], out=x), out=x)
+    x /= np.negative(survivor).take(pa)
+    np.add(x, t1, out=out[:, 1])
+    return pa | right << 1
 
 
-def _product_from_uniforms(u: np.ndarray, gamma_h: float):
-    t = -np.log1p(-u[:, 0]) / gamma_h
-    left = u[:, 3] < 0.5
-    return t, left
+def _entangled_rates(rates: RateSet, er: EntangledRates) -> tuple:
+    """_draw's gamma, p_or and survivor rates for an entangled pair."""
+    return er.gamma_t, er.gamma_t_or / er.gamma_t, (rates.gamma_pa, rates.gamma_or)
 
 
 def sample_pair(
@@ -375,16 +388,19 @@ def sample_pair(
     vectorised simulator, so a pair sampled here is bit-identical to the same
     pair inside a full run.
     """
+    kinds = ((rates, RateSet), (er, EntangledRates), (rng, np.random.Generator))
+    if not all(isinstance(value, kind) for value, kind in kinds):
+        raise DomainError("sample_pair needs a RateSet, its EntangledRates and a numpy Generator")
     if er.gamma_t <= 0.0:
         raise NoDecayError("gamma_t = 0: entangled pairs never emit")
+    t = np.empty((1, 2))
     u = rng.random(DRAWS_PER_PAIR).reshape(1, DRAWS_PER_PAIR)
-    t1, first_or, t2, first_left = _entangled_from_uniforms(u, rates, er)
-    species_1 = Species.OR if first_or[0] else Species.PA
-    side_1 = Side.L if first_left[0] else Side.R
-    first = PhotonEvent(pair_id, float(t1[0]), species_1, side_1, EmissionOrder.FIRST)
+    code = int(_draw(u, t, *_entangled_rates(rates, er))[0])
+    species_1, side_1 = _SPECIES_BY_CODE[code & 1], _SIDE_BY_CODE[code >> 1]
+    first = PhotonEvent(pair_id, float(t[0, 0]), species_1, side_1, EmissionOrder.FIRST)
     second = PhotonEvent(
         pair_id,
-        float(t2[0]),
+        float(t[0, 1]),
         species_1.companion(),
         side_1.opposite(),
         EmissionOrder.SECOND,
@@ -477,24 +493,28 @@ def _sorted_stream(
 ) -> EventStream:
     """The time-ordered stream of simulate's draws, built in their buffers:
     times (one per row, rows in (pair, order) order) sort into the time
-    column, their keys decode into the pair column.  codes holds each pair's
-    species | side << 1 of its first emission."""
+    column, their keys decode into the pair column, a _BLOCK of rows at a
+    time into the code columns.  codes holds each pair's species | side << 1
+    of its first emission (its side in product mode)."""
     rows = _key_order(keys, times)
     # simulate draws no -0.0, so equal times have equal bits and the value
     # sort gives the column that gathering them by rows would
     times.sort()
     if scenario.is_entangled:
-        order_col = rows.astype(np.uint8) & 1  # the low bit of the row
-        rows >>= 1
-        first = codes[rows]
-        # a second emission has the companion species and the opposite side
-        species_col = (first & 1) ^ order_col
-        side_col = (first >> 1) ^ order_col
+        species, side, order = (np.empty(rows.size, dtype=np.uint8) for _ in range(3))
+        for lo in range(0, rows.size, _BLOCK):
+            r, s = rows[lo : lo + _BLOCK], slice(lo, lo + _BLOCK)
+            o = np.bitwise_and(r, 1, out=order[s], casting="unsafe")  # the low bit of the row
+            r >>= 1
+            first = codes.take(r)
+            # a second emission has the companion species and the opposite side
+            np.bitwise_xor(first & 1, o, out=species[s])
+            np.bitwise_xor(first >> 1, o, out=side[s])
     else:
-        order_col = np.full(rows.size, FIRST_CODE, dtype=np.uint8)
-        species_col = np.full(rows.size, SPECIES_CODE[scenario.product_species], dtype=np.uint8)
-        side_col = codes[rows]
-    return EventStream(rows, times, species_col, side_col, order_col)
+        order = np.full(rows.size, FIRST_CODE, dtype=np.uint8)
+        species = np.full(rows.size, SPECIES_CODE[scenario.product_species], dtype=np.uint8)
+        side = codes[rows]
+    return EventStream(rows, times, species, side, order)
 
 
 def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
@@ -512,18 +532,9 @@ def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
         er = derive_rates(rates)
         if er.gamma_t <= 0.0:
             raise NoDecayError("gamma_t = 0: entangled pairs never emit")
-
-        def draw(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-            out[:, 0], s_or, out[:, 1], left = _entangled_from_uniforms(u, rates, er)
-            # PA_CODE and R_CODE are 1, OR_CODE and L_CODE are 0
-            return (~s_or).astype(np.uint8) | (~left).astype(np.uint8) << 1
-
+        kernel_rates = _entangled_rates(rates, er)
     else:
-        gamma_h = rates.gamma(scenario.product_species)
-
-        def draw(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-            out[:, 0], left = _product_from_uniforms(u, gamma_h)
-            return ~left  # R_CODE is 1, L_CODE 0
+        kernel_rates = (rates.gamma(scenario.product_species),)
 
     # pair p's first and second emission are rows 2p and 2p + 1
     width = 2 if scenario.is_entangled else 1
@@ -536,7 +547,7 @@ def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
     def fill(lo: int, hi: int) -> None:
         rng = pair_substream(scenario.seed, lo)
         u = rng.random((hi - lo) * DRAWS_PER_PAIR).reshape(-1, DRAWS_PER_PAIR)
-        codes[lo:hi] = draw(u, times[lo:hi])
+        codes[lo:hi] = _draw(u, times[lo:hi], *kernel_rates)
         _sort_keys(times[lo:hi].ravel(), width * lo, bits, keys[width * lo : width * hi])
 
     spans = [(lo, min(lo + _BLOCK, n0)) for lo in range(0, n0, _BLOCK)]
@@ -560,22 +571,35 @@ def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
     return stream, curve
 
 
-def _category_counts(
-    t: np.ndarray, grid: np.ndarray, categories: np.ndarray, k: int
-) -> list[np.ndarray]:
-    """Counts at or before each grid point of the rows of category 0..k-1.
+def _category_counts(t: np.ndarray, grid: np.ndarray, category, k: int) -> list[np.ndarray]:
+    """Counts at or before each grid point of the rows of category 0..k-1,
+    where category(s) gives the categories of the rows in slice s.
 
     On a non-decreasing time column the rows at or before a grid point are a
-    prefix, so one binary search per grid point finds its length, and a
-    category's count is the number of its rows inside that prefix.  Any other
+    prefix, so one binary search per grid point finds its length.  The rows
+    up to the last grid point's are then read a _BLOCK at a time: a grid
+    point whose prefix ends in the block counts the category's rows before
+    it there, on top of the running totals of earlier blocks.  Any other
     column is put in time order first, by one key sort and a gather of the
     categories.
     """
     if not _nondecreasing(t):
         idx, t = _time_order(t)
-        categories = categories.take(idx)
+        category = category(slice(None)).take(idx).__getitem__
     pos = np.searchsorted(t, grid, side="right")
-    return [np.searchsorted(np.flatnonzero(categories == c), pos) for c in range(k)]
+    counts = np.zeros((k, grid.size), dtype=np.int64)
+    total = np.zeros(k, dtype=np.int64)
+    g = 0
+    for lo in range(0, pos[-1], _BLOCK):
+        hi = min(lo + _BLOCK, pos[-1])
+        end = np.searchsorted(pos, hi, side="right")  # points g..end - 1 end in the block
+        cats, local = category(slice(lo, hi)), pos[g:end] - lo
+        for c in range(k):
+            rows = np.flatnonzero(cats == c)
+            counts[c, g:end] = np.searchsorted(rows, local) + total[c]
+            total[c] += rows.size
+        g = end
+    return list(counts)
 
 
 def histogram(
@@ -597,14 +621,15 @@ def histogram(
     if mode not in (ENTANGLED, PRODUCT):
         raise DomainError(f"mode must be {ENTANGLED!r} or {PRODUCT!r}")
     if mode == ENTANGLED:
-        if np.any(events.order == UNKNOWN_CODE):
+        order, species = events.order, events.species
+        if order.size and order.max() == UNKNOWN_CODE:
             raise DataError("entangled histogram needs first/second order tags")
-        n_first = int(np.count_nonzero(events.order == FIRST_CODE))
+        n_first = order.size - int(np.count_nonzero(order))  # FIRST_CODE is 0, SECOND_CODE 1
         if n_first > n0:
             raise DataError(f"{n_first} first emissions from only {n0} pairs")
         # category order << 1 | species: first or, first pa, second or, second pa
         c_ft_or, c_ft_pa, c_st_or, c_st_pa = _category_counts(
-            events.time, grid, events.order << 1 | events.species, 4
+            events.time, grid, lambda s: order[s] << 1 | species[s], 4
         )
         n = n0 - c_ft_or - c_ft_pa
         n_or = c_ft_pa - c_st_or
@@ -616,7 +641,7 @@ def histogram(
     else:
         if events.time.size > n0:
             raise DataError(f"{events.time.size} emissions from only {n0} atoms")
-        N_or, N_pa = _category_counts(events.time, grid, events.species, 2)
+        N_or, N_pa = _category_counts(events.time, grid, events.species.__getitem__, 2)
         n = n0 - N_or - N_pa
         n_or, n_pa = np.zeros((2, grid.size), dtype=np.int64)
     # binary searches count in int64 (intp), so every column already is one

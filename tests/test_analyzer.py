@@ -32,8 +32,10 @@ from decaylab import (
     estimate_rates,
     evaluate_curve,
     histogram,
+    pair_substream,
     product_model_distance,
     reconstruct,
+    sample_pair,
     simulate,
 )
 from decaylab.analyzer import _CHUNK, _SEGMENT, _ordered, _segment_gaps, _sup_distance
@@ -1403,19 +1405,30 @@ def malformed_inputs(draw):
     )
     n0 = draw(st.one_of(st.integers(-1, 8), st.sampled_from([2.5, True, 2**63, 10**400, 10**13])))
     min_pairs = draw(st.one_of(st.integers(0, 3), st.sampled_from(["x", None, 1.5, True, -1])))
-    return stream, grid, n0, min_pairs, draw(st.sampled_from([RS11, None, "x"]))
+    # a product Scenario's species and parallel flag, of the right kind or not
+    species = draw(st.sampled_from([Species.OR, Species.PA, "or", None]))
+    parallel = draw(st.sampled_from([False, np.bool_(True), "no", None]))
+    reference = draw(st.sampled_from([RS11, None, "x"]))
+    return stream, grid, n0, min_pairs, reference, species, parallel
 
 
 @settings(max_examples=300, deadline=None)
 @given(malformed_inputs(), st.sampled_from(["entangled", "product"]))
 def test_malformed_inputs_raise_only_package_errors(case, mode):
-    stream, grid, n0, min_pairs, reference = case
+    stream, grid, n0, min_pairs, reference, species, parallel = case
+
+    def product_run():
+        scenario = Scenario(n0, reference, "product", species, parallel=parallel)
+        if scenario.n0 <= 8:
+            simulate(scenario)
+
     calls = (
         lambda: classify(stream, grid, n0),
         lambda: estimate_rates(stream, n0, min_pairs),
         lambda: histogram(stream, grid, n0, mode=mode),
         lambda: detect(stream, n0, reference, min_pairs=min_pairs).fitted_rates,
         lambda: Scenario(n0=n0, rates=reference),
+        product_run,
     )
     for call in calls:
         try:
@@ -1438,6 +1451,11 @@ def test_malformed_inputs_raise_only_package_errors(case, mode):
         lambda: evaluate_curve(Scenario(n0=10, rates=RS11), grid=["a"]),
         lambda: classify(_hand_stream(), [0.0, np.inf, np.inf], 1),
         lambda: histogram(_hand_stream(), [0.0, 1e300, np.inf], 1),
+        lambda: Scenario(n0=10, rates=RS11, mode="product", product_species="or"),
+        lambda: Scenario(n0=10, rates=RS11, parallel="no"),
+        lambda: pair_substream(-1, 0),
+        lambda: pair_substream(1, "a"),
+        lambda: sample_pair(0, RS11, derive_rates(RS11), None),
     ],
     ids=[
         "min_pairs-str",
@@ -1449,6 +1467,11 @@ def test_malformed_inputs_raise_only_package_errors(case, mode):
         "curve-str-grid",
         "inf-twice",
         "inf-last",
+        "product-species-str",
+        "parallel-str",
+        "seed-negative",
+        "pair-id-str",
+        "rng-none",
     ],
 )
 def test_analyzer_inputs_of_the_wrong_kind_are_domain_errors(call):

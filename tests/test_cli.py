@@ -187,6 +187,20 @@ def test_run_config_values_of_the_wrong_type_are_config_errors(field, value):
     assert type(config.lifetime_tol) is float and type(config.detection_min_pairs) is int
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("scenario", "x"), ("emit", 5), ("outdir", None), ("emit", "analytic")],
+    ids=["scenario-str", "emit-int", "outdir-none", "emit-str"],
+)
+def test_run_config_fields_of_the_wrong_kind_are_config_errors(field, value):
+    # a bare string emit would be read as its letters, a bad scenario only
+    # fail later inside run
+    kwargs = {"scenario": Scenario(n0=100, rates=RateSet(1.0, 1.0)), field: value}
+    with pytest.raises(ConfigError) as err:
+        RunConfig(**kwargs)
+    assert str(err.value).startswith(f"{field} ") and repr(value) in str(err.value)
+
+
 @pytest.mark.parametrize("slow", ["gamma_or", "gamma_pa"])
 def test_default_t_max_overflow_names_the_slow_rate(slow):
     # ten lifetimes of a 1e-320 rate overflow a float, though t_max is unset

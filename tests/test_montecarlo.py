@@ -44,6 +44,8 @@ from decaylab.montecarlo import (
     UNKNOWN_CODE,
     UNKNOWN_PAIR,
     _PEAK_BYTES_PER_PAIR,
+    _draw,
+    _entangled_rates,
     _memory_bytes,
     _sort_keys,
     _sorted_stream,
@@ -143,6 +145,39 @@ def test_sample_pair_consumes_fixed_budget():
     fresh = pair_substream(5, 1)
     assert rng.random(2).tolist() == fresh.random(2).tolist()
     assert DRAWS_PER_PAIR == 4
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [RS11, RateSet(1.3, 0.7, w_or=0.2 - 0.1j, w_pa=-0.3), RateSet(1.0, 2.0, w_or=-1.0)],
+    ids=["RS11", "W", "or-suppressed"],
+)
+def test_draw_kernel_matches_the_reference_formula_at_its_edges(rates):
+    # the largest uniform below 1, the smallest above 0, exactly 0, and a
+    # species uniform exactly at the pa threshold gamma_t_or / gamma_t
+    er = derive_rates(rates)
+    p_or = er.gamma_t_or / er.gamma_t
+    edges = [0.0, 2.0**-53, 1.0 - 2.0**-53]
+    grid = np.meshgrid(edges, [*edges, p_or, 0.5], edges, [*edges, 0.5], indexing="ij")
+    u = np.stack([g.ravel() for g in grid], axis=1)
+    # the kernel as written before it computed in place
+    t1 = -np.log1p(-u[:, 0]) / er.gamma_t
+    first_or = u[:, 1] < p_or
+    t2 = t1 - np.log1p(-u[:, 2]) / np.where(first_or, rates.gamma_pa, rates.gamma_or)
+    first_left = u[:, 3] < 0.5
+    want_codes = (~first_or).astype(np.uint8) | (~first_left).astype(np.uint8) << 1
+    out = np.empty((len(u), 2))
+    codes = _draw(u, out, *_entangled_rates(rates, er))
+    assert out.tobytes() == np.column_stack([t1, t2]).tobytes()
+    assert codes.tobytes() == want_codes.tobytes()
+    t_h = -np.log1p(-u[:, 0]) / rates.gamma_pa
+    product = np.empty((len(u), 1))
+    side = _draw(u, product, rates.gamma_pa)
+    assert product.ravel().tobytes() == t_h.tobytes()
+    assert side.tobytes() == (~first_left).astype(np.uint8).tobytes()
+    # no -0.0 is drawn, u = 0 included, which _sorted_stream's value sort needs
+    assert not np.signbit(out).any() and not np.signbit(product).any()
+    assert out[0, 0] == 0.0 and out[0, 1] == 0.0
 
 
 def test_rerun_is_deterministic():
@@ -328,6 +363,29 @@ def test_event_stream_validation():
         _stream([0], [1.0], [7], [0], [0])
 
 
+@pytest.mark.parametrize(
+    "times,message",
+    [
+        ([np.nan], "finite"),
+        ([1.0, np.nan, 0.5], "finite"),
+        ([-np.inf, 1.0], "finite"),
+        ([0.5, np.inf], "finite"),
+        ([-1.0, np.nan], "finite"),
+        ([2.0, -1e-300], ">= 0"),
+        ([-0.0, 1.0], None),
+    ],
+)
+def test_event_stream_time_rules(times, message):
+    # the rules read only time.min() and time.max(), which carry any NaN
+    n = len(times)
+    columns = (np.arange(n), times, [0] * n, [0] * n, [0] * n)
+    if message is None:
+        assert np.signbit(_stream(*columns).time[0])
+    else:
+        with pytest.raises(DataError, match=message):
+            _stream(*columns)
+
+
 def test_event_stream_sorting_and_access():
     stream = _stream(
         [1, 0], [2.0, 1.0], [PA_CODE, OR_CODE], [R_CODE, L_CODE], [SECOND_CODE, FIRST_CODE]
@@ -463,6 +521,28 @@ def test_simulate_peak_memory_within_its_estimate(rates, mode, species):
     finally:
         tracemalloc.stop()
     assert peak <= n0 * _PEAK_BYTES_PER_PAIR
+
+
+@pytest.mark.parametrize(
+    "rates,mode,species",
+    [
+        (RateSet(1.0, 0.5, w_or=0.3 + 0.2j, w_pa=-0.4), "entangled", None),
+        (RS11, "product", Species.PA),
+    ],
+    ids=["W", "product:pa"],
+)
+def test_simulate_peak_is_the_stream_plus_block_scratch(rates, mode, species):
+    # the draws, the code decoding and histogram work in _BLOCK-row pieces,
+    # so beyond the columns returned only the 1-byte draw codes are n-sized
+    n0 = 10**6
+    scenario = Scenario(n0=n0, rates=rates, mode=mode, product_species=species, seed=4)
+    tracemalloc.start()
+    try:
+        stream, _ = simulate(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(getattr(stream, c).nbytes for c in COLUMNS) + 4 * n0
 
 
 def test_event_stream_rejects_negative_pair_ids():
@@ -745,3 +825,63 @@ def test_histogram_sorted_and_shuffled_streams_agree(case):
     for f, code in (("N_or", OR_CODE), ("N_pa", PA_CODE)):
         want = np.count_nonzero(at_or_before & (stream.species == code)[:, None], axis=0)
         np.testing.assert_array_equal(getattr(a, f), want)
+
+
+def _brute_curve(stream, grid, n0, mode):
+    # every curve field straight from its definition, one row at a time
+    at = stream.time[:, None] <= grid
+
+    def count(order, species):
+        rows = (stream.order == order) & (stream.species == species)
+        return np.count_nonzero(at & rows[:, None], axis=0)
+
+    f_or, f_pa = count(FIRST_CODE, OR_CODE), count(FIRST_CODE, PA_CODE)
+    if mode == "product":
+        zeros = np.zeros(grid.size, dtype=np.int64)
+        return {"n": n0 - f_or - f_pa, "n_or": zeros, "n_pa": zeros, "N_or": f_or, "N_pa": f_pa}
+    s_or, s_pa = count(SECOND_CODE, OR_CODE), count(SECOND_CODE, PA_CODE)
+    return {
+        "n": n0 - f_or - f_pa,
+        "n_or": f_pa - s_or,
+        "n_pa": f_or - s_pa,
+        "N_or": f_or + s_or,
+        "N_pa": f_pa + s_pa,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(histogram_cases(), st.sampled_from([1, 3, 7]), st.booleans())
+def test_histogram_counts_across_block_edges(case, block, late):
+    # with blocks of 1, 3 or 7 rows, grid points fall before the first row,
+    # on block edges and past the last row; late moves every row past the
+    # last grid point, and the streams include empty ones and n0 = 1
+    mode, stream, perm, grid, n0 = case
+    if late:
+        stream = EventStream(
+            stream.pair_id, stream.time + 5.0, stream.species, stream.side, stream.order
+        )
+    by_time = stream.sorted_by_time()
+    shuffled = EventStream(*(getattr(by_time, c)[perm] for c in COLUMNS))
+    want = _brute_curve(stream, grid, n0, mode)
+    with mock.patch("decaylab.montecarlo._BLOCK", block):
+        for s in (by_time, shuffled):
+            curve = histogram(s, grid, n0, mode=mode)
+            for f in CURVE_FIELDS:
+                np.testing.assert_array_equal(getattr(curve, f), want[f])
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("n0", [1, 2, 23])
+@pytest.mark.parametrize("mode", ["entangled", "product"])
+def test_simulate_is_the_same_for_any_block_size(block, n0, mode):
+    # draws, code decoding and counts each run a _BLOCK at a time
+    species = Species.OR if mode == "product" else None
+    rates = RateSet(1.3, 0.7, w_or=0.2 - 0.1j, w_pa=-0.3)
+    scenario = Scenario(n0=n0, rates=rates, mode=mode, product_species=species, seed=8)
+    want, want_curve = simulate(scenario)
+    with mock.patch("decaylab.montecarlo._BLOCK", block):
+        got, curve = simulate(scenario)
+    for c in COLUMNS:
+        assert getattr(got, c).tobytes() == getattr(want, c).tobytes(), c
+    for f in CURVE_FIELDS:
+        assert getattr(curve, f).tobytes() == getattr(want_curve, f).tobytes(), f
