@@ -30,6 +30,13 @@ half its photons in the companion species of every hypothesis, pinning the
 statistic near one.  The verdict bands the statistic against a threshold,
 by default three times the 95% Kolmogorov fluctuation scale 1.36/sqrt(n0).
 
+The pair checks behind classify and estimate_rates run once per stream, in
+a join that reads the rows a block at a time.  Beyond a block it holds a
+4 B/pair first-row table and 8 B per first time, then a 1 B/pair table of
+seen seconds and 8 B per delay: about 7.5 B/row at 1e6 pairs, and 6 on a
+product stream, whose time column already is its first times.  A gathered
+view (below) holds 10 B/row, its time column in the key sort's own buffer.
+
 Both scans read one time-ordered view of a stream, kept on it: its own
 columns when its times never decrease, as simulate's, else one key sort's
 gather of them.  The view is split into segments of _SEGMENT rows and keeps
@@ -62,7 +69,7 @@ from .errors import (
     InsufficientDataError,
     UnclassifiableError,
 )
-from .kinetics import PopulationCurve, _check_n0, _exact, _positive_n0, _validate_grid
+from .kinetics import PopulationCurve, _check_n0, _exact, _integer, _positive_n0, _validate_grid
 from .montecarlo import (
     FIRST_CODE,
     OR_CODE,
@@ -72,6 +79,7 @@ from .montecarlo import (
     UNKNOWN_CODE,
     UNKNOWN_PAIR,
     EventStream,
+    _blocks,
     _nondecreasing,
     _time_order,
 )
@@ -146,7 +154,7 @@ class ClassifiedCounts:
 
 def _ordered(events: EventStream) -> tuple:
     """The stream's (time, species, order) columns in time order (its own when
-    its time never decreases, else one key sort and a gather), then
+    its time never decreases, else _time_order's key sort and gathers), then
     _segment_ends of its time and _prefix_sums of its pa rows.  Found once
     per stream and kept in its __dict__, as the pair join is, so no later
     detect gathers or counts a segment to bound it."""
@@ -154,11 +162,11 @@ def _ordered(events: EventStream) -> tuple:
     if "_ordered" not in memo:
         time, species, order = events.time, events.species, events.order
         if not _nondecreasing(time):
-            idx, time = _time_order(time)
-            species = species.take(idx)
             # an erased order column is one value at stride 0, in any order
-            if order.strides != (0,):
-                order = order.take(idx)
+            if order.strides == (0,):
+                time, species = _time_order(time, (species,))
+            else:
+                time, species, order = _time_order(time, (species, order))
         memo["_ordered"] = time, species, order, _segment_ends(time), _prefix_sums(species)
     return memo["_ordered"]
 
@@ -229,41 +237,72 @@ def _pair_join(events: EventStream, n0: int) -> list:
 
 def _join(events: EventStream) -> tuple:
     # (pair-id count, first structural error or None, then _pair_join's
-    # sums), each sum in row order
-    pid, species, time = events.pair_id, events.species, events.time
-    n_ids = int(pid.max()) + 1 if pid.size else 0
-    if n_ids > pid.size:
-        # sparse ids, relabelled 0..k-1 so that the table and the bincount
-        # below are bounded by the stream however large the ids are
+    # sums).  Two passes over _BLOCK-row blocks: the first scatters each
+    # pair's first row and gathers the first times, the second gathers each
+    # second's first and its delay.  Each check is tallied over every block
+    # and the first failed one in check order is reported.  A sum is taken
+    # over one contiguous array of its terms in row order, the bits of the
+    # whole-stream sum, not pairwise sums of per-block sums.  Gathers by rows
+    # that flatnonzero found take mode="clip", which skips a buffered copy.
+    pid, species, time, order = events.pair_id, events.species, events.time, events.order
+    n = pid.size
+    n_ids = int(pid.max()) + 1 if n else 0
+    if n_ids > n:
+        # sparse ids, relabelled 0..k-1 so that the tables below are bounded
+        # by the stream however large the ids are
         pid = np.unique(pid, return_inverse=True)[1]
-    r1 = np.flatnonzero(events.order == FIRST_CODE)
-    r2 = np.flatnonzero(events.order == SECOND_CODE)
     # each pair's first-emission row, -1 where it has none; sized by the
     # stream, not by n0, so a short stream needs no n0-long scratch array,
     # and int32 while rows fit, which halves the scatter's and gather's bytes
-    first_row = np.full(min(n_ids, pid.size), -1, dtype=np.int32 if pid.size < 2**31 else np.intp)
-    first_row[pid.take(r1)] = r1
-    if np.count_nonzero(first_row >= 0) != r1.size:
+    first_row = np.full(min(n_ids, n), -1, dtype=np.int32 if n < 2**31 else np.intp)
+    n_second = int(np.count_nonzero(order))  # FIRST_CODE is 0, SECOND_CODE 1
+    # every row of a stream without seconds is a first, in row order
+    first_time = time if not n_second else np.empty(n - n_second)
+    n_pa = f = 0
+    for s in _blocks(n):
+        o = order[s]
+        r1 = np.flatnonzero(o == FIRST_CODE)
+        if n_second:
+            np.take(time[s], r1, out=first_time[f : f + r1.size], mode="clip")
+            f += r1.size
+            n_pa += int(np.count_nonzero(o & species[s]))  # PA_CODE is 1
+        np.put(first_row, pid[s].take(r1), r1 + s.start)
+    if np.count_nonzero(first_row >= 0) != first_time.size:
         return n_ids, "a pair carries two first emissions"
-    pid2 = pid.take(r2)
-    if pid2.size and np.bincount(pid2).max() > 1:
+    firsts = first_time.size, float(first_time.sum())
+    del first_time
+    # a 1 B/pair table of the pairs seen in a second emission
+    seen = np.zeros(first_row.size, dtype=bool)
+    delays = np.empty(n_second - n_pa), np.empty(n_pa)  # or, pa; row order
+    filled = [0, 0]
+    orphan = same = early = False
+    # a stream without seconds has no block to read here
+    for s in _blocks(n if n_second else 0):
+        o, sp = order[s], species[s]
+        # the second or rows, then the second pa rows, of the block
+        for code, rows in enumerate((np.flatnonzero(o > sp), np.flatnonzero((o & sp).view(bool)))):
+            if not rows.size:
+                continue
+            pid2 = pid[s].take(rows)
+            seen[pid2] = True
+            j = first_row.take(pid2)
+            orphan = orphan or j.min() < 0
+            same = same or bool(np.any(species.take(j) == code))
+            d = delays[code][filled[code] : filled[code] + rows.size]
+            filled[code] += rows.size
+            np.take(time[s], rows, out=d, mode="clip")
+            d -= time.take(j)
+            early = early or d.min() < 0.0
+    if np.count_nonzero(seen) != n_second:
         return n_ids, "a pair carries two second emissions"
-    j = first_row.take(pid2)
-    if np.any(j < 0):
-        return n_ids, "a second emission has no matching first"
-    species2 = species.take(r2)
-    if np.any(species2 == species.take(j)):
-        return n_ids, "a pair emitted the same species twice"
-    delays = time.take(r2) - time.take(j)
-    if np.any(delays < 0.0):
-        return n_ids, "a second emission precedes its first"
-    # np.compress, not delays[mask]: the same delays in the same order, so
-    # the same sum, without numpy's slow boolean-mask gather
-    is_or = species2 == OR_CODE
-    seconds = tuple(
-        (int(np.count_nonzero(m)), float(np.compress(m, delays).sum())) for m in (is_or, ~is_or)
-    )
-    return n_ids, None, r1.size, float(time.take(r1).sum()), seconds
+    for failed, message in (
+        (orphan, "a second emission has no matching first"),
+        (same, "a pair emitted the same species twice"),
+        (early, "a second emission precedes its first"),
+    ):
+        if failed:
+            return n_ids, message
+    return n_ids, None, *firsts, tuple((d.size, float(d.sum())) for d in delays)
 
 
 def classify(events: EventStream, grid, n0: int) -> ClassifiedCounts:
@@ -423,7 +462,7 @@ def estimate_rates(
     Runs classify's pair checks first, so it rejects exactly the streams
     that classify rejects, with the same errors.
     """
-    min_pairs = _min_pairs(min_pairs)
+    min_pairs = _integer(min_pairs, "min_pairs")  # 0 asks for no minimum
     n_pairs, first_sum, seconds = _pair_join(events, n0)
     if n_pairs < min_pairs:
         raise InsufficientDataError(
@@ -439,15 +478,6 @@ def estimate_rates(
         rate = k / total if k else math.nan
         fits += [rate, rate / math.sqrt(k) if k else math.nan, k]
     return RateEstimates(*fits)
-
-
-def _min_pairs(value, name: str = "min_pairs", least: int = 0) -> int:
-    """value as an int; a DomainError starting with name unless it is an
-    integer >= least (a bool is not one).  min_pairs takes 0, which asks for
-    no minimum."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
-        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 class Verdict(Enum):
@@ -624,7 +654,7 @@ def detect(
     module docstring), bit for bit as the full evaluation.
     """
     _check_n0(n0)
-    min_pairs = _min_pairs(min_pairs)
+    min_pairs = _integer(min_pairs, "min_pairs")
     fit_args = None
     if isinstance(source, EventStream):
         if int(n0) != n0:

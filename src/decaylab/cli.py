@@ -22,13 +22,13 @@ import numpy as np
 
 from .analyzer import (
     MIN_PAIRS_DEFAULT,
-    _min_pairs,
     classify,
     detect,
     reconstruct,
 )
 from .errors import ConfigError, DecayLabError, DomainError
 from .kinetics import (
+    _integer,
     conservation_residual,
     evaluate_curve,
     lifetime_report,
@@ -142,7 +142,7 @@ class RunConfig:
         if "reconstruction" in emit and not self.scenario.is_entangled:
             raise ConfigError("emit includes reconstruction, which requires mode=entangled")
         try:
-            pairs = _min_pairs(self.detection_min_pairs, "detection_min_pairs", least=1)
+            pairs = _integer(self.detection_min_pairs, "detection_min_pairs", least=1)
             object.__setattr__(self, "detection_min_pairs", pairs)
             for name in ("lifetime_tol", "detection_threshold"):
                 value = getattr(self, name)

@@ -102,6 +102,14 @@ def _positive_n0(n0) -> int:
     return int(n0)
 
 
+def _integer(value, name: str, least: int = 0) -> int:
+    """value as an int; a DomainError starting with name unless it is an
+    integer >= least (a bool is not one)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _maybe_scalar(values: np.ndarray, t) -> np.ndarray | float:
     if np.ndim(t) == 0:
         return float(values)

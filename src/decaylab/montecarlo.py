@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -31,7 +32,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, NoDecayError
-from .kinetics import PopulationCurve, _exact, _positive_n0, _validate_grid
+from .kinetics import PopulationCurve, _exact, _integer, _positive_n0, _validate_grid
 from .rates import EntangledRates, RateSet, Species, _finite_positive, derive_rates
 
 __all__ = [
@@ -70,7 +71,15 @@ _MAX_THREADS = 64
 # _BLOCK of scratch.  tracemalloc reads 39.1 at n0 = 1e6 (40.6 on two
 # threads, whose draw blocks overlap) and 71 at 1e5, where the fixed blocks
 # weigh more; 44 keeps ~10% headroom at scale.  Product mode needs about 20.
+# A first classify of the stream then peaks 14.4 B/pair above it at 1e6
+# pairs (the pair join's scratch, freed on return); a first classify or
+# detect of a stream that is not time-ordered keeps a 20 B/pair view.
 _PEAK_BYTES_PER_PAIR = 44
+# Bytes of draw scratch per pair of a block, which every thread worker
+# holds at once: 32 of (m, 4) uniforms and the kernel's temporaries.
+# tracemalloc reads 55 and 59 MB at n0 = 1e6 on 8 and 16 threads, under
+# the 65 and 86 MB that this and _PEAK_BYTES_PER_PAIR then count.
+_DRAW_BYTES_PER_PAIR = 40
 
 # Bytes an all-stage CLI run holds per grid point at its peak, reached while
 # reconstruction is compared with the histogram (each curve is freed after
@@ -208,10 +217,11 @@ class EventStream:
         )
 
     def sorted_by_time(self) -> "EventStream":
-        idx, time = _time_order(self.time, self.pair_id, self.order)
-        return EventStream(
-            self.pair_id[idx], time, self.species[idx], self.side[idx], self.order[idx]
+        columns = self.pair_id, self.species, self.side, self.order
+        time, pair_id, species, side, order = _time_order(
+            self.time, columns, self.pair_id, self.order
         )
+        return EventStream(pair_id, time, species, side, order)
 
 
 def _sort_keys(time: np.ndarray, first_row: int, bits: int, out: np.ndarray) -> None:
@@ -222,11 +232,15 @@ def _sort_keys(time: np.ndarray, first_row: int, bits: int, out: np.ndarray) -> 
     key |= np.arange(first_row, first_row + time.size, dtype=np.uint64)
 
 
+def _blocks(n: int):
+    """The slices of n rows, _BLOCK rows at a time, made as they are read."""
+    return (slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
+
+
 def _adjacent(a: np.ndarray):
     """(lo, a[lo:hi], a[lo + 1 : hi + 1]) over spans of _BLOCK rows: every pair
     of adjacent elements of a, a block at a time, so no n-row temporary."""
-    spans = ((lo, min(lo + _BLOCK, a.size - 1)) for lo in range(0, a.size - 1, _BLOCK))
-    return ((lo, a[lo:hi], a[lo + 1 : hi + 1]) for lo, hi in spans)
+    return ((s.start, a[s], a[s.start + 1 : s.stop + 1]) for s in _blocks(a.size - 1))
 
 
 def _key_order(key: np.ndarray, time: np.ndarray, pair_id=None, order=None) -> np.ndarray:
@@ -253,21 +267,30 @@ def _key_order(key: np.ndarray, time: np.ndarray, pair_id=None, order=None) -> n
     return rows
 
 
-def _time_order(
-    time: np.ndarray, pair_id: np.ndarray | None = None, order: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The permutation np.lexsort((order, pair_id, time)), and time under it.
+def _time_order(time: np.ndarray, columns=(), pair_id=None, order=None) -> tuple:
+    """time, then each of columns, in the row order np.lexsort((order,
+    pair_id, time)).
 
     Times must be non-negative, as EventStream and simulate guarantee: their
     bit patterns then order like the values, so one value sort of 64-bit
     keys holding the high bits of the time and the row index in the low bits
-    places the rows (several times faster than an argsort; _key_order).
+    places the rows (several times faster than an argsort; _key_order).  The
+    columns are gathered a _BLOCK of rows at a time, and the time column into
+    the key buffer itself once its block of rows is copied out, so the sort
+    holds 8 B/row beyond the gathered columns.
     """
     bits = max(time.size - 1, 1).bit_length()
     key = np.empty(time.size, dtype=np.uint64)
-    _sort_keys(time, 0, bits, key)
-    idx = _key_order(key, time, pair_id, order)
-    return idx, time[idx]
+    for s in _blocks(time.size):
+        _sort_keys(time[s], s.start, bits, key[s])
+    rows = _key_order(key, time, pair_id, order)
+    ordered = rows.view(np.float64), *(np.empty(time.size, dtype=c.dtype) for c in columns)
+    for s in _blocks(time.size):
+        # a permutation's rows are in range: mode="clip" skips a buffered copy
+        r = rows[s].copy()
+        for column, out in zip((time, *columns), ordered):
+            column.take(r, out=out[s], mode="clip")
+    return ordered
 
 
 def _nondecreasing(t: np.ndarray) -> bool:
@@ -344,11 +367,10 @@ def pair_substream(seed: int, pair_id: int) -> np.random.Generator:
     """Generator positioned at pair_id's private block of the seeded stream."""
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
         raise DomainError(f"seed must be an integer in [0, 2**128), got {seed!r}")
-    if not isinstance(pair_id, (int, np.integer)) or pair_id < 0:
-        raise DomainError(f"pair_id must be an integer >= 0, got {pair_id!r}")
+    pair_id = _integer(pair_id, "pair_id")
     bit_gen = np.random.Philox(key=int(seed))
     if pair_id:
-        bit_gen.advance(int(pair_id))
+        bit_gen.advance(pair_id)
     return np.random.Generator(bit_gen)
 
 
@@ -388,6 +410,7 @@ def sample_pair(
     vectorised simulator, so a pair sampled here is bit-identical to the same
     pair inside a full run.
     """
+    pair_id = _integer(pair_id, "pair_id")
     kinds = ((rates, RateSet), (er, EntangledRates), (rng, np.random.Generator))
     if not all(isinstance(value, kind) for value, kind in kinds):
         raise DomainError("sample_pair needs a RateSet, its EntangledRates and a numpy Generator")
@@ -488,6 +511,35 @@ def _check_memory(need: int, what: str) -> None:
         )
 
 
+def _run_threads(work, spans, workers: int) -> None:
+    """work(span) for every span of an iterable, taken in turn by this thread
+    and workers - 1 others.  Every thread is joined; the first error one
+    raised is then raised here.  Plain threads, not concurrent.futures: that
+    and the logging it imports would slow the start of every process that
+    runs simulate in threads."""
+    todo, lock, errors = iter(spans), threading.Lock(), []
+
+    def worker() -> None:
+        while not errors:
+            with lock:
+                span = next(todo, None)
+            if span is None:
+                return
+            try:
+                work(span)
+            except BaseException as exc:  # re-raised below
+                errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    worker()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _sorted_stream(
     times: np.ndarray, keys: np.ndarray, codes: np.ndarray, scenario: Scenario
 ) -> EventStream:
@@ -502,8 +554,8 @@ def _sorted_stream(
     times.sort()
     if scenario.is_entangled:
         species, side, order = (np.empty(rows.size, dtype=np.uint8) for _ in range(3))
-        for lo in range(0, rows.size, _BLOCK):
-            r, s = rows[lo : lo + _BLOCK], slice(lo, lo + _BLOCK)
+        for s in _blocks(rows.size):
+            r = rows[s]
             o = np.bitwise_and(r, 1, out=order[s], casting="unsafe")  # the low bit of the row
             r >>= 1
             first = codes.take(r)
@@ -526,7 +578,10 @@ def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
     under the process's cgroup memory limit.
     """
     n0 = scenario.n0
-    _check_memory(n0 * _PEAK_BYTES_PER_PAIR, f"n0 = {n0}")
+    # a thread per block at most, each holding its block's draw scratch
+    workers = min(_thread_count(scenario.parallel), -(-n0 // _BLOCK))
+    scratch = workers * min(n0, _BLOCK) * _DRAW_BYTES_PER_PAIR
+    _check_memory(n0 * _PEAK_BYTES_PER_PAIR + scratch, f"n0 = {n0}")
     rates = scenario.rates
     if scenario.is_entangled:
         er = derive_rates(rates)
@@ -544,25 +599,15 @@ def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
     # species | side << 1 of each pair's first emission
     codes = np.empty(n0, dtype=np.uint8)
 
-    def fill(lo: int, hi: int) -> None:
-        rng = pair_substream(scenario.seed, lo)
-        u = rng.random((hi - lo) * DRAWS_PER_PAIR).reshape(-1, DRAWS_PER_PAIR)
-        codes[lo:hi] = _draw(u, times[lo:hi], *kernel_rates)
-        _sort_keys(times[lo:hi].ravel(), width * lo, bits, keys[width * lo : width * hi])
+    def fill(s: slice) -> None:
+        rng = pair_substream(scenario.seed, s.start)
+        u = rng.random((s.stop - s.start) * DRAWS_PER_PAIR).reshape(-1, DRAWS_PER_PAIR)
+        codes[s] = _draw(u, times[s], *kernel_rates)
+        rows = slice(width * s.start, width * s.stop)
+        _sort_keys(times[s].ravel(), rows.start, bits, keys[rows])
 
-    spans = [(lo, min(lo + _BLOCK, n0)) for lo in range(0, n0, _BLOCK)]
-    workers = _thread_count(scenario.parallel)
-    if workers > 1 and len(spans) > 1:
-        # imported here, not at the top, since it and the logging it loads
-        # would slow every import of the package; blocks write to disjoint
-        # slices, so scheduling order cannot matter
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: fill(*span), spans))
-    else:
-        for lo, hi in spans:
-            fill(lo, hi)
+    # blocks write to disjoint slices, so scheduling order cannot matter
+    _run_threads(fill, _blocks(n0), workers)
 
     stream = _sorted_stream(times.ravel(), keys, codes, scenario)
     # the stream holds every draw now; free the codes before histogram counts
@@ -580,20 +625,19 @@ def _category_counts(t: np.ndarray, grid: np.ndarray, category, k: int) -> list[
     up to the last grid point's are then read a _BLOCK at a time: a grid
     point whose prefix ends in the block counts the category's rows before
     it there, on top of the running totals of earlier blocks.  Any other
-    column is put in time order first, by one key sort and a gather of the
-    categories.
+    column is put in time order first, by _time_order's key sort and a
+    gather of the categories.
     """
     if not _nondecreasing(t):
-        idx, t = _time_order(t)
-        category = category(slice(None)).take(idx).__getitem__
+        t, cats = _time_order(t, (category(slice(None)),))
+        category = cats.__getitem__
     pos = np.searchsorted(t, grid, side="right")
     counts = np.zeros((k, grid.size), dtype=np.int64)
     total = np.zeros(k, dtype=np.int64)
     g = 0
-    for lo in range(0, pos[-1], _BLOCK):
-        hi = min(lo + _BLOCK, pos[-1])
-        end = np.searchsorted(pos, hi, side="right")  # points g..end - 1 end in the block
-        cats, local = category(slice(lo, hi)), pos[g:end] - lo
+    for s in _blocks(pos[-1]):
+        end = np.searchsorted(pos, s.stop, side="right")  # points g..end - 1 end in the block
+        cats, local = category(s), pos[g:end] - s.start
         for c in range(k):
             rows = np.flatnonzero(cats == c)
             counts[c, g:end] = np.searchsorted(rows, local) + total[c]

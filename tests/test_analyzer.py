@@ -38,7 +38,7 @@ from decaylab import (
     sample_pair,
     simulate,
 )
-from decaylab.analyzer import _CHUNK, _SEGMENT, _ordered, _segment_gaps, _sup_distance
+from decaylab.analyzer import _CHUNK, _SEGMENT, _join, _ordered, _segment_gaps, _sup_distance
 from decaylab.montecarlo import (
     FIRST_CODE,
     L_CODE,
@@ -929,8 +929,8 @@ def test_side_ordered_stream_is_sorted_once(million_pair_streams):
 
 
 def test_detect_on_a_fresh_side_ordered_stream_keeps_one_view(million_pair_streams):
-    # cold: the key sort's 8 B/row keys and the kept 10 B/row view (time,
-    # species, order), and no other column-sized copy
+    # cold: the kept 10 B/row view (time, species, order), its time column
+    # gathered into the key sort's own buffer, and no other column-sized copy
     n0, rates, _, streams = million_pair_streams
     stream = _fresh(streams["side_ordered"])
     tracemalloc.start()
@@ -939,7 +939,26 @@ def test_detect_on_a_fresh_side_ordered_stream_keeps_one_view(million_pair_strea
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 19 * len(stream)
+    assert peak < 12 * len(stream)
+
+
+@pytest.mark.parametrize(
+    "name,bound", [("time_ordered", 10), ("side_ordered", 12), ("product", 10)]
+)
+def test_a_cold_pair_join_holds_block_scratch(million_pair_streams, name, bound):
+    # the join's row-sized arrays are the first-row table and the first
+    # times, then the table of seen seconds and the delays: about 7.4 B/row
+    # (the old one held 28.5); a side-ordered classify then keeps its view
+    n0, _, grid, streams = million_pair_streams
+    stream = _fresh(streams[name])
+    tracemalloc.start()
+    try:
+        classify(stream, grid, n0)
+        estimate_rates(stream, n0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * len(stream)
 
 
 @pytest.mark.parametrize("name", ["time_ordered", "side_ordered"])
@@ -1375,6 +1394,102 @@ def test_detect_fits_rates_on_first_read():
     assert detect(erase_identities(stream), sc.n0, RS11).fitted_rates is None
     assert detect(classify(stream, sc.grid(), sc.n0), sc.n0, RS11).fitted_rates is None
     assert detect(evaluate_curve(sc), sc.n0, RS11).fitted_rates is None
+
+
+def _join_reference(events):
+    """The pair join as one pass of whole-stream gathers: (pair-id count,
+    first error or None, then the first count and time sum and the
+    (count, delay sum) of or and pa seconds)."""
+    pid, species, time = events.pair_id, events.species, events.time
+    n_ids = int(pid.max()) + 1 if pid.size else 0
+    if n_ids > pid.size:
+        pid = np.unique(pid, return_inverse=True)[1]
+    r1 = np.flatnonzero(events.order == FIRST_CODE)
+    r2 = np.flatnonzero(events.order == SECOND_CODE)
+    first_row = np.full(min(n_ids, pid.size), -1, dtype=np.intp)
+    first_row[pid.take(r1)] = r1
+    if np.count_nonzero(first_row >= 0) != r1.size:
+        return n_ids, "a pair carries two first emissions"
+    pid2 = pid.take(r2)
+    if pid2.size and np.bincount(pid2).max() > 1:
+        return n_ids, "a pair carries two second emissions"
+    j = first_row.take(pid2)
+    if np.any(j < 0):
+        return n_ids, "a second emission has no matching first"
+    species2 = species.take(r2)
+    if np.any(species2 == species.take(j)):
+        return n_ids, "a pair emitted the same species twice"
+    delays = time.take(r2) - time.take(j)
+    if np.any(delays < 0.0):
+        return n_ids, "a second emission precedes its first"
+    is_or = species2 == OR_CODE
+    seconds = tuple(
+        (int(np.count_nonzero(m)), float(np.compress(m, delays).sum())) for m in (is_or, ~is_or)
+    )
+    return n_ids, None, r1.size, float(time.take(r1).sum()), seconds
+
+
+def _join_bits(result):
+    n_ids, error, *sums = result
+    if error is not None:
+        return n_ids, error
+    n_first, first_sum, seconds = sums
+    return n_ids, n_first, _typed_bits([first_sum]), [(k, _typed_bits([t])) for k, t in seconds]
+
+
+@st.composite
+def joinable_streams(draw):
+    # streams with intact identities: a simulated one of up to 200 pairs
+    # (so sums exceed numpy's 128-term pairwise blocks), rows shuffled or not,
+    # with a few cells broken as malformed_inputs breaks them; or columns
+    # drawn from malformed_inputs' values with identities kept
+    if draw(st.booleans()):
+        n0 = draw(st.integers(1, 200))
+        species = draw(st.sampled_from([None, Species.OR]))
+        scenario = Scenario(
+            n0=n0,
+            rates=RateSet(1.3, 0.7, w_or=0.2j),
+            mode="product" if species else "entangled",
+            product_species=species,
+            seed=draw(st.integers(0, 2**32)),
+        )
+        stream = simulate(scenario)[0]
+        columns = {c: np.array(getattr(stream, c)) for c in COLUMNS}
+        n = len(stream)
+        for _ in range(draw(st.integers(0, 3))):
+            i, name = draw(st.integers(0, n - 1)), draw(st.sampled_from(COLUMNS))
+            if name == "pair_id":
+                columns[name][i] = draw(st.sampled_from([0, n0 - 1, n0, 10**12]))
+            elif name == "time":
+                columns[name][i] = draw(st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1e300]))
+            else:
+                columns[name][i] ^= 1
+        if draw(st.booleans()):
+            perm = draw(st.permutations(range(n)))
+            columns = {c: v[perm] for c, v in columns.items()}
+        return EventStream(*(columns[c] for c in COLUMNS))
+    n = draw(st.integers(0, 24))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    return EventStream(
+        np.array(column(st.one_of(st.integers(0, 6), st.just(10**12))), dtype=np.int64),
+        np.array(column(st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0, 2.0, 1e300]))),
+        np.array(column(st.integers(0, 1)), dtype=np.uint8),
+        np.array(column(st.integers(0, 1)), dtype=np.uint8),
+        np.array(column(st.integers(0, 1)), dtype=np.uint8),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(joinable_streams(), st.sampled_from([1, 2, 3, 7, 64]))
+def test_blocked_join_matches_the_whole_stream_join(stream, block):
+    # blocks this small put every violation and sum term across block edges;
+    # the first error in check order over the whole stream is reported
+    with mock.patch("decaylab.montecarlo._BLOCK", block):
+        got = _join(stream)
+    assert _join_bits(got) == _join_bits(_join_reference(stream))
 
 
 @st.composite

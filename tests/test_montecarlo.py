@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -43,10 +44,13 @@ from decaylab.montecarlo import (
     SPECIES_CODE,
     UNKNOWN_CODE,
     UNKNOWN_PAIR,
+    _BLOCK,
+    _DRAW_BYTES_PER_PAIR,
     _PEAK_BYTES_PER_PAIR,
     _draw,
     _entangled_rates,
     _memory_bytes,
+    _run_threads,
     _sort_keys,
     _sorted_stream,
     _time_order,
@@ -136,6 +140,18 @@ def test_sample_pair_matches_simulate():
         assert got[1] == second
 
 
+@pytest.mark.parametrize("pair_id", ["a", -5, True, 1.0, None], ids=repr)
+def test_sample_pair_rejects_a_pair_id_that_is_no_count(pair_id):
+    with pytest.raises(DomainError, match="pair_id must be an integer >= 0"):
+        sample_pair(pair_id, RS11, derive_rates(RS11), pair_substream(1, 0))
+
+
+def test_sample_pair_takes_a_numpy_pair_id():
+    rs, er = RS11, derive_rates(RS11)
+    first, _ = sample_pair(np.int64(3), rs, er, pair_substream(1, 3))
+    assert type(first.pair_id) is int and first == sample_pair(3, rs, er, pair_substream(1, 3))[0]
+
+
 def test_sample_pair_consumes_fixed_budget():
     rs = RS11
     er = derive_rates(rs)
@@ -201,33 +217,73 @@ def test_parallel_run_bit_identical(monkeypatch):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
-_THREAD_POOL_IMPORT = """
+_NO_THREAD_POOL = """
 import os, sys
 import decaylab
 from decaylab.montecarlo import _BLOCK
-assert "concurrent.futures" not in sys.modules
 rates = decaylab.RateSet(1.0, 0.5, w_or=0.2)
 serial, _ = decaylab.simulate(decaylab.Scenario(n0=2 * _BLOCK, rates=rates, seed=5))
-assert "concurrent.futures" not in sys.modules
 os.environ["DECAYLAB_THREADS"] = "2"
 threaded, _ = decaylab.simulate(
     decaylab.Scenario(n0=2 * _BLOCK, rates=rates, seed=5, parallel=True)
 )
-assert "concurrent.futures" in sys.modules
+assert "threading" in sys.modules
+for name in ("concurrent.futures", "logging"):
+    assert name not in sys.modules, name
 for name in ("pair_id", "time", "species", "side", "order"):
     assert getattr(serial, name).tobytes() == getattr(threaded, name).tobytes(), name
 """
 
 
-def test_thread_pool_is_imported_by_threaded_simulate_only():
-    # concurrent.futures, and the logging it imports, cost every import of
-    # the package; only a threaded simulate of more than one block needs it
+def test_threaded_simulate_imports_no_thread_pool():
+    # concurrent.futures, and the logging it imports, would cost every
+    # process that imports the package; plain threads run the blocks
     env = dict(os.environ, PYTHONPATH=str(Path(decaylab.__file__).parents[1]))
     env.pop("DECAYLAB_THREADS", None)
     proc = subprocess.run(
-        [sys.executable, "-c", _THREAD_POOL_IMPORT], env=env, capture_output=True, text=True
+        [sys.executable, "-c", _NO_THREAD_POOL], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_thread_workers_are_joined_and_the_first_error_raised():
+    started = threading.active_count()
+    done = []
+
+    def work(span):
+        if span.start == 3:
+            raise DomainError("block 3")
+        done.append(span.start)
+
+    with pytest.raises(DomainError, match="block 3"):
+        _run_threads(work, [slice(i, i + 1) for i in range(40)], 4)
+    assert threading.active_count() == started and 3 not in done
+    # more threads than cores, switching often: every span is taken once
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        done.clear()
+        _run_threads(work, [slice(i, i + 1) for i in range(4, 2004)], 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(done) == list(range(4, 2004)) and threading.active_count() == started
+
+
+def test_simulate_counts_each_workers_draw_block(monkeypatch):
+    # a patched memory between the stream's need and that need plus eight
+    # workers' draw blocks: eight threads are refused, one is not
+    block = _BLOCK * _DRAW_BYTES_PER_PAIR
+    n0 = 8 * _BLOCK
+    room = n0 * _PEAK_BYTES_PER_PAIR + 4 * block
+    monkeypatch.setattr("decaylab.montecarlo._memory_bytes", lambda: room)
+    monkeypatch.setenv("DECAYLAB_THREADS", "8")
+    with pytest.raises(DomainError, match="cgroup limit"):
+        simulate(Scenario(n0=n0, rates=RS11, parallel=True))
+    simulate(Scenario(n0=n0, rates=RS11))
+    # a run of fewer blocks than threads starts a thread per block at most
+    room = 2 * _BLOCK * _PEAK_BYTES_PER_PAIR + 2 * block
+    monkeypatch.setattr("decaylab.montecarlo._memory_bytes", lambda: room)
+    simulate(Scenario(n0=2 * _BLOCK, rates=RS11, parallel=True))
 
 
 def test_thread_env_validation(monkeypatch):
@@ -596,7 +652,8 @@ def _assert_same(a, b):
 def test_time_order_matches_lexsort_with_ties(case):
     stream, perm = case
     want_idx, want = _lexsorted(stream)
-    idx, time = _time_order(stream.time, stream.pair_id, stream.order)
+    rows = np.arange(len(stream))
+    time, idx = _time_order(stream.time, (rows,), stream.pair_id, stream.order)
     np.testing.assert_array_equal(idx, want_idx)
     np.testing.assert_array_equal(time, want.time)
     shuffled = EventStream(*(getattr(stream, c)[perm] for c in COLUMNS))
@@ -622,7 +679,7 @@ def test_time_order_of_interleaved_rows_matches_lexsort(case):
     interleaved = np.arange(2 * n).reshape(2, n).T.ravel()
     rows = EventStream(*(getattr(stream, c)[interleaved] for c in COLUMNS))
     want_idx, want = _lexsorted(rows)
-    idx, time = _time_order(rows.time)
+    time, idx = _time_order(rows.time, (np.arange(len(rows)),))
     np.testing.assert_array_equal(idx, want_idx)
     np.testing.assert_array_equal(time, want.time)
 
