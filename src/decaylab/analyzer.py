@@ -63,13 +63,14 @@ from functools import cached_property
 
 import numpy as np
 
+from ._rules import _exact, _instance, _integer, _real, _validate_grid
 from .errors import (
     DataError,
     DomainError,
     InsufficientDataError,
     UnclassifiableError,
 )
-from .kinetics import PopulationCurve, _check_n0, _exact, _integer, _positive_n0, _validate_grid
+from .kinetics import PopulationCurve
 from .montecarlo import (
     FIRST_CODE,
     OR_CODE,
@@ -83,7 +84,7 @@ from .montecarlo import (
     _nondecreasing,
     _time_order,
 )
-from .rates import RateSet, Species, _finite_positive
+from .rates import RateSet, Species
 
 __all__ = [
     "MIN_PAIRS_DEFAULT",
@@ -134,9 +135,9 @@ class ClassifiedCounts:
     def __post_init__(self) -> None:
         grid = _validate_grid(self.grid)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "n0", _positive_n0(self.n0))
+        object.__setattr__(self, "n0", _integer(self.n0, "n0", 1, bits=63))
         for name in ("n1_or", "n1_pa", "n2_or", "n2_pa"):
-            arr = _exact(getattr(self, name), np.int64, name, DomainError)
+            arr = _exact(getattr(self, name), np.int64, name)
             if arr.shape != grid.shape:
                 raise DomainError(f"{name} must match the grid shape")
             if arr[0] < 0 or np.any(np.diff(arr) < 0):
@@ -147,7 +148,7 @@ class ClassifiedCounts:
 
     def photons(self, h: Species) -> np.ndarray:
         """Cumulative species-h photons, first plus second emissions."""
-        if h is Species.OR:
+        if _instance(h, Species, "h") is Species.OR:
             return self.n1_or + self.n2_or
         return self.n1_pa + self.n2_pa
 
@@ -221,12 +222,12 @@ def _pair_join(events: EventStream, n0: int) -> list:
     then its first error or its sums), or as None when identities are erased,
     which its read-only columns keep valid.
     """
-    memo = vars(events)
+    memo = vars(_instance(events, EventStream, "events"))
     if "_pair_join" not in memo:
         memo["_pair_join"] = _join(events) if events.has_identities else None
     if memo["_pair_join"] is None:
         raise UnclassifiableError("stream has erased pair identities")
-    n0 = _positive_n0(n0)
+    n0 = _integer(n0, "n0", 1, bits=63)
     n_ids, error, *sums = memo["_pair_join"]
     if n_ids > n0:
         raise DataError("pair ids must lie in [0, n0)")
@@ -390,7 +391,7 @@ def reconstruct(counts: ClassifiedCounts) -> PopulationCurve:
     Raises DataError if the counts imply a negative population anywhere,
     which means the stream violated the pair structure upstream.
     """
-    n0 = counts.n0
+    n0 = _instance(counts, ClassifiedCounts, "counts").n0
     n = n0 - counts.n1_or - counts.n1_pa
     n_or = counts.n1_pa - counts.n2_or
     n_pa = counts.n1_or - counts.n2_pa
@@ -417,7 +418,7 @@ def erase_identities(events: EventStream) -> EventStream:
     zero-stride views of UNKNOWN_PAIR and UNKNOWN_CODE, and no column is
     checked again, so erasure costs the same at any length.
     """
-    m = len(events)
+    m = len(_instance(events, EventStream, "events"))
     erased = EventStream._unchecked(
         pair_id=np.broadcast_to(np.int64(UNKNOWN_PAIR), (m,)),
         time=events.time,
@@ -518,7 +519,7 @@ class DetectionVerdict:
 
 def default_threshold(n0: float) -> float:
     """Detection threshold 3 * 1.36 / sqrt(n0)."""
-    return THRESHOLD_SAFETY * KS_COEFF / math.sqrt(_check_n0(n0))
+    return THRESHOLD_SAFETY * KS_COEFF / math.sqrt(_real(n0, "n0"))
 
 
 def _model(t: np.ndarray, gamma: float) -> np.ndarray:
@@ -610,15 +611,14 @@ def product_model_distance(source, n0: float, h: Species, gamma: float) -> float
     For streams the supremum is exact, taken over the stream's time-ordered
     view; for gridded sources it is taken over the grid points.
     """
-    _check_n0(n0)
-    gamma = _finite_positive(gamma, "gamma")
+    _real(n0, "n0")
+    gamma = _real(gamma, "gamma")
+    _instance(source, (EventStream, ClassifiedCounts, PopulationCurve), "source")
+    code = SPECIES_CODE[_instance(h, Species, "h")]
     if isinstance(source, EventStream):
-        code = SPECIES_CODE[h]
         time, species, _, ends, pa = _ordered(source)
         prefix = pa if code == PA_CODE else _row_starts(time.size) - pa
         return _sup_distance(time, n0, gamma, (ends, prefix), species, code)
-    if not isinstance(source, (ClassifiedCounts, PopulationCurve)):
-        raise DomainError("source must be an EventStream, ClassifiedCounts, or PopulationCurve")
     return _grid_distance(source.grid, np.asarray(source.photons(h), dtype=float), n0, gamma)
 
 
@@ -653,17 +653,16 @@ def detect(
     is read through its kept time-ordered view, segment by segment (see the
     module docstring), bit for bit as the full evaluation.
     """
-    _check_n0(n0)
+    _real(n0, "n0")
     min_pairs = _integer(min_pairs, "min_pairs")
     fit_args = None
     if isinstance(source, EventStream):
         if int(n0) != n0:
             raise DomainError(f"n0 must be a whole number for a stream source, got {n0!r}")
-        fit_args = (source, _positive_n0(int(n0)), min_pairs)
-    threshold = default_threshold(n0) if threshold is None else _finite_positive(threshold, "threshold")
+        fit_args = (source, _integer(int(n0), "n0", 1, bits=63), min_pairs)
+    threshold = default_threshold(n0) if threshold is None else _real(threshold, "threshold")
+    _instance(reference, RateSet, "reference")
 
-    if not isinstance(reference, RateSet):
-        raise DomainError(f"reference must be a RateSet, got {reference!r}")
     distances: dict[str, float] = {}
     for h, gamma in ((Species.OR, reference.gamma_or), (Species.PA, reference.gamma_pa)):
         shape = product_model_distance(source, n0, h, gamma)

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._rules import _instance, _integer, _real
 from .analyzer import (
     MIN_PAIRS_DEFAULT,
     classify,
@@ -28,7 +29,6 @@ from .analyzer import (
 )
 from .errors import ConfigError, DecayLabError, DomainError
 from .kinetics import (
-    _integer,
     conservation_residual,
     evaluate_curve,
     lifetime_report,
@@ -40,7 +40,7 @@ from .montecarlo import (
     Scenario,
     simulate,
 )
-from .rates import RateSet, Species, _finite_positive, derive_rates, lambda_unweighted
+from .rates import RateSet, Species, derive_rates, lambda_unweighted
 
 __all__ = [
     "STAGES",
@@ -122,32 +122,29 @@ class RunConfig:
     detection_min_pairs: int = MIN_PAIRS_DEFAULT
 
     def __post_init__(self) -> None:
-        if not isinstance(self.scenario, Scenario):
-            raise ConfigError(f"scenario must be a Scenario, got {self.scenario!r}")
-        if not isinstance(self.outdir, (str, os.PathLike)):
-            raise ConfigError(f"outdir must be a path, got {self.outdir!r}")
-        object.__setattr__(self, "outdir", Path(self.outdir))
         try:
-            emit = frozenset(self.emit)
-        except TypeError:  # not iterable, or holding unhashable items
-            emit = None
-        if isinstance(self.emit, str) or emit is None or not all(isinstance(e, str) for e in emit):
-            raise ConfigError(f"emit must be a collection of stage names, got {self.emit!r}")
-        if not emit:
-            raise ConfigError("emit must name at least one stage")
-        unknown = emit - set(STAGES)
-        if unknown:
-            raise ConfigError(f"emit names unknown stages: {sorted(unknown)}")
-        object.__setattr__(self, "emit", emit)
-        if "reconstruction" in emit and not self.scenario.is_entangled:
-            raise ConfigError("emit includes reconstruction, which requires mode=entangled")
-        try:
+            _instance(self.scenario, Scenario, "scenario")
+            object.__setattr__(self, "outdir", Path(_instance(self.outdir, (str, os.PathLike), "outdir")))
+            try:
+                emit = frozenset(self.emit)
+            except TypeError:  # not iterable, or holding unhashable items
+                emit = None
+            if isinstance(self.emit, str) or emit is None or not all(isinstance(e, str) for e in emit):
+                raise ConfigError(f"emit must be a collection of stage names, got {self.emit!r}")
+            if not emit:
+                raise ConfigError("emit must name at least one stage")
+            unknown = emit - set(STAGES)
+            if unknown:
+                raise ConfigError(f"emit names unknown stages: {sorted(unknown)}")
+            object.__setattr__(self, "emit", emit)
+            if "reconstruction" in emit and not self.scenario.is_entangled:
+                raise ConfigError("emit includes reconstruction, which requires mode=entangled")
             pairs = _integer(self.detection_min_pairs, "detection_min_pairs", least=1)
             object.__setattr__(self, "detection_min_pairs", pairs)
             for name in ("lifetime_tol", "detection_threshold"):
                 value = getattr(self, name)
                 if value is not None:
-                    object.__setattr__(self, name, _finite_positive(value, name))
+                    object.__setattr__(self, name, _real(value, name))
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 

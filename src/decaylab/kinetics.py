@@ -39,13 +39,13 @@ bracketing bisection.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import _as_times, _exact, _instance, _real, _validate_grid
 from .errors import DomainError, SolverError
-from .rates import EntangledRates, RateSet, Species, _finite_positive, derive_rates
+from .rates import EntangledRates, RateSet, Species, derive_rates
 
 __all__ = [
     "DEGENERATE_EPS",
@@ -72,44 +72,6 @@ _BRACKET_CAP = 1e3
 _BISECT_RTOL = 1e-12
 
 
-def _as_times(t) -> np.ndarray:
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("times must be finite")
-    if np.any(arr < 0.0):
-        raise DomainError("times must be >= 0")
-    return arr
-
-
-def _check_n0(n0: float) -> float:
-    """n0 as a float; the rule for expected (real-valued) populations."""
-    if not isinstance(n0, numbers.Real) or isinstance(n0, bool):
-        raise DomainError(f"n0 must be a real number, got {n0!r}")
-    try:
-        n0 = float(n0)
-    except OverflowError:  # an integer beyond the float range
-        n0 = math.inf
-    if not math.isfinite(n0) or n0 <= 0.0:
-        raise DomainError(f"n0 must be a finite positive count, got {n0!r}")
-    return n0
-
-
-def _positive_n0(n0) -> int:
-    """n0 as an int; the rule for counted pairs (bool is not a count, and
-    counts are int64)."""
-    if not isinstance(n0, (int, np.integer)) or isinstance(n0, bool) or not 1 <= n0 < 2**63:
-        raise DomainError("n0 must be a positive integer below 2**63")
-    return int(n0)
-
-
-def _integer(value, name: str, least: int = 0) -> int:
-    """value as an int; a DomainError starting with name unless it is an
-    integer >= least (a bool is not one)."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
-        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
 def _maybe_scalar(values: np.ndarray, t) -> np.ndarray | float:
     if np.ndim(t) == 0:
         return float(values)
@@ -118,9 +80,9 @@ def _maybe_scalar(values: np.ndarray, t) -> np.ndarray | float:
 
 def n_entangled(t, n0: float, er: EntangledRates):
     """Entangled-pair population n0 exp(-gamma_t t)."""
-    n0 = _check_n0(n0)
+    n0 = _real(n0, "n0")
     tt = _as_times(t)
-    return _maybe_scalar(n0 * np.exp(-er.gamma_t * tt), t)
+    return _maybe_scalar(n0 * np.exp(-_instance(er, EntangledRates, "er").gamma_t * tt), t)
 
 
 def n_single(t, h: Species, n0: float, rates: RateSet, er: EntangledRates):
@@ -131,10 +93,10 @@ def n_single(t, h: Species, n0: float, rates: RateSet, er: EntangledRates):
     overflows and loses no precision to cancellation: with a <= b the two
     exponents, the difference of exponentials is exp(-a t) * (-expm1(-(b-a)t)).
     """
-    n0 = _check_n0(n0)
+    n0 = _real(n0, "n0")
     tt = _as_times(t)
-    gamma_h = rates.gamma(h)
-    gamma_t = er.gamma_t
+    gamma_h = _instance(rates, RateSet, "rates").gamma(h)
+    gamma_t = _instance(er, EntangledRates, "er").gamma_t
     feed = er.species_rate(h.companion())
     delta = gamma_t - gamma_h
     if abs(delta) < DEGENERATE_EPS * gamma_t:
@@ -152,54 +114,23 @@ def photons_emitted(t, h: Species, n0: float, rates: RateSet, er: EntangledRates
     Exact integral of the rate equations; clamped at zero to absorb the
     sub-resolution negative roundoff that subtraction can produce near t = 0.
     """
-    n0 = _check_n0(n0)
-    tt = _as_times(t)
-    out = n0 - n_entangled(tt, n0, er) - n_single(tt, h, n0, rates, er)
+    n0 = _real(n0, "n0")
+    out = n0 - n_entangled(t, n0, er) - n_single(t, h, n0, rates, er)
     return _maybe_scalar(np.maximum(out, 0.0), t)
 
 
 def product_population(t, h: Species, n0: float, rates: RateSet):
     """Still-excited species-h atoms of a product preparation."""
-    n0 = _check_n0(n0)
+    n0 = _real(n0, "n0")
     tt = _as_times(t)
-    return _maybe_scalar(n0 * np.exp(-rates.gamma(h) * tt), t)
+    return _maybe_scalar(n0 * np.exp(-_instance(rates, RateSet, "rates").gamma(h) * tt), t)
 
 
 def product_photons(t, h: Species, n0: float, rates: RateSet):
     """Cumulative species-h photons of a product preparation."""
-    n0 = _check_n0(n0)
+    n0 = _real(n0, "n0")
     tt = _as_times(t)
-    return _maybe_scalar(n0 * -np.expm1(-rates.gamma(h) * tt), t)
-
-
-def _exact(values, dtype, name: str, error: type) -> np.ndarray:
-    """values as a dtype array; error, starting with name, when they are not
-    numbers or when the cast would change one (a safe cast changes none)."""
-    try:
-        arr = np.asarray(values)
-    except ValueError:  # lists of unequal lengths
-        arr = np.empty(0, dtype=object)
-    if arr.dtype.kind not in "biuf":
-        raise error(f"{name} must be an array of numbers")
-    with np.errstate(invalid="ignore"):  # NaN or inf cast to an integer
-        cast = arr.astype(dtype, copy=False)
-    if not np.can_cast(arr.dtype, dtype) and not np.array_equal(cast, arr):
-        raise error(f"{name} holds values that casting to {np.dtype(dtype)} would change")
-    return cast
-
-
-def _validate_grid(grid) -> np.ndarray:
-    """grid as a float array: numbers, 1-d, non-empty, finite, from t >= 0,
-    strictly increasing; finiteness is tested before the differences, which
-    inf - inf would turn into a warning and a NaN."""
-    grid = _exact(grid, np.float64, "grid", DomainError)
-    if grid.ndim != 1 or grid.size == 0 or not grid[0] >= 0.0:
-        raise DomainError("grid must be 1-d, non-empty, with times >= 0")
-    if not np.all(np.isfinite(grid)):
-        raise DomainError("grid times must be finite")
-    if not np.all(np.diff(grid) > 0.0):
-        raise DomainError("grid must be strictly increasing")
-    return grid
+    return _maybe_scalar(n0 * -np.expm1(-_instance(rates, RateSet, "rates").gamma(h) * tt), t)
 
 
 @dataclass(frozen=True)
@@ -225,19 +156,19 @@ class PopulationCurve:
             raise DomainError("grid must start at t = 0")
         object.__setattr__(self, "grid", grid)
         for name in ("n", "n_or", "n_pa", "N_or", "N_pa"):
-            arr = np.asarray(getattr(self, name))
+            arr = _exact(getattr(self, name), None, name)
             if arr.shape != grid.shape:
                 raise DomainError(f"{name} must match the grid shape")
             if not (np.all(np.isfinite(arr)) and np.all(arr >= 0)):
                 raise DomainError(f"{name} must be finite and non-negative everywhere")
             object.__setattr__(self, name, arr)
-        _check_n0(self.n0)
+        _real(self.n0, "n0")
 
     def survivors(self, h: Species) -> np.ndarray:
-        return self.n_or if h is Species.OR else self.n_pa
+        return self.n_or if _instance(h, Species, "h") is Species.OR else self.n_pa
 
     def photons(self, h: Species) -> np.ndarray:
-        return self.N_or if h is Species.OR else self.N_pa
+        return self.N_or if _instance(h, Species, "h") is Species.OR else self.N_pa
 
 
 def evaluate_curve(scenario, grid=None) -> PopulationCurve:
@@ -246,8 +177,9 @@ def evaluate_curve(scenario, grid=None) -> PopulationCurve:
     An explicit ``grid`` overrides the scenario's own; a single-point grid
     [0] yields just the initial conditions.
     """
+    from .montecarlo import Scenario  # montecarlo imports this module
+    n0 = float(_instance(scenario, Scenario, "scenario").n0)
     grid = scenario.grid() if grid is None else _validate_grid(grid)
-    n0 = float(scenario.n0)
     rates = scenario.rates
     if scenario.is_entangled:
         er = derive_rates(rates)
@@ -273,7 +205,8 @@ def conservation_residual(curve: PopulationCurve, entangled: bool = True) -> flo
     N_or + N_pa + 2 n + n_or + n_pa = 2 n0 at all times; a product
     preparation emits one per atom, N_or + N_pa + n = n0.
     """
-    if entangled:
+    _instance(curve, PopulationCurve, "curve")
+    if _instance(entangled, (bool, np.bool_), "entangled"):
         total = curve.N_or + curve.N_pa + 2 * curve.n + curve.n_or + curve.n_pa
         expected = 2 * curve.n0
     else:
@@ -301,13 +234,12 @@ def lifetime_species(
     raises SolverError.  tol, the width at which bisection stops, defaults
     to 1e-12 of that time and must be finite and > 0.
     """
-    if er is None:
-        er = derive_rates(rates)
-    gamma_h = rates.gamma(h)
+    er = derive_rates(rates) if er is None else _instance(er, EntangledRates, "er")
+    gamma_h = _instance(rates, RateSet, "rates").gamma(h)
     if er.gamma_t <= 0.0:
         raise DomainError("gamma_t must be positive for a finite lifetime")
     scale = max(1.0 / gamma_h, 1.0 / er.gamma_t)
-    tol = _BISECT_RTOL * scale if tol is None else _finite_positive(tol, "tol")
+    tol = _BISECT_RTOL * scale if tol is None else _real(tol, "tol")
     target = math.exp(-1.0)
 
     def excess(tau: float) -> float:

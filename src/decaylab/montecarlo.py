@@ -31,9 +31,10 @@ from functools import cache
 
 import numpy as np
 
+from ._rules import _exact, _instance, _integer, _real, _validate_grid
 from .errors import ConfigError, DataError, DomainError, NoDecayError
-from .kinetics import PopulationCurve, _exact, _integer, _positive_n0, _validate_grid
-from .rates import EntangledRates, RateSet, Species, _finite_positive, derive_rates
+from .kinetics import PopulationCurve
+from .rates import EntangledRates, RateSet, Species, derive_rates
 
 __all__ = [
     "ENTANGLED",
@@ -330,30 +331,22 @@ class Scenario:
     parallel: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n0", _positive_n0(self.n0))
-        if self.mode not in (ENTANGLED, PRODUCT):
+        object.__setattr__(self, "n0", _integer(self.n0, "n0", 1, bits=63))
+        if _instance(self.mode, str, "mode") not in (ENTANGLED, PRODUCT):
             raise DomainError(f"mode must be {ENTANGLED!r} or {PRODUCT!r}")
         if self.mode == PRODUCT:
-            if not isinstance(self.product_species, Species):
-                got = self.product_species
-                raise DomainError(f"product_species must be a Species, got {got!r}")
+            _instance(self.product_species, Species, "product_species")
         elif self.product_species is not None:
             raise DomainError("product_species only applies to product mode")
-        if not isinstance(self.rates, RateSet):
-            raise DomainError(f"rates must be a RateSet, got {self.rates!r}")
+        _instance(self.rates, RateSet, "rates")
         t_max = _default_t_max(self.rates) if self.t_max is None else self.t_max
-        object.__setattr__(self, "t_max", _finite_positive(t_max, "t_max"))
-        if not isinstance(self.grid_points, (int, np.integer)) or self.grid_points < 2:
-            raise DomainError("grid_points must be an integer >= 2")
-        object.__setattr__(self, "grid_points", int(self.grid_points))
-        points = self.grid_points
+        object.__setattr__(self, "t_max", _real(t_max, "t_max"))
+        points = _integer(self.grid_points, "grid_points", 2)
+        object.__setattr__(self, "grid_points", points)
         _check_memory(points * _PEAK_BYTES_PER_POINT, f"grid_points = {points}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
-            raise DomainError("seed must be an unsigned 64-bit integer")
-        object.__setattr__(self, "seed", int(self.seed))
-        if not isinstance(self.parallel, (bool, np.bool_)):
-            raise DomainError(f"parallel must be a bool, got {self.parallel!r}")
-        object.__setattr__(self, "parallel", bool(self.parallel))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", bits=64))
+        parallel = _instance(self.parallel, (bool, np.bool_), "parallel")
+        object.__setattr__(self, "parallel", bool(parallel))
 
     @property
     def is_entangled(self) -> bool:
@@ -365,10 +358,9 @@ class Scenario:
 
 def pair_substream(seed: int, pair_id: int) -> np.random.Generator:
     """Generator positioned at pair_id's private block of the seeded stream."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
-        raise DomainError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    seed = _integer(seed, "seed", bits=128)
     pair_id = _integer(pair_id, "pair_id")
-    bit_gen = np.random.Philox(key=int(seed))
+    bit_gen = np.random.Philox(key=seed)
     if pair_id:
         bit_gen.advance(pair_id)
     return np.random.Generator(bit_gen)
@@ -394,7 +386,10 @@ def _draw(u: np.ndarray, out: np.ndarray, gamma: float, p_or=None, survivor=None
 
 
 def _entangled_rates(rates: RateSet, er: EntangledRates) -> tuple:
-    """_draw's gamma, p_or and survivor rates for an entangled pair."""
+    """_draw's gamma, p_or and survivor rates for an entangled pair; a
+    NoDecayError when the pair never emits."""
+    if er.gamma_t <= 0.0:
+        raise NoDecayError("gamma_t = 0: entangled pairs never emit")
     return er.gamma_t, er.gamma_t_or / er.gamma_t, (rates.gamma_pa, rates.gamma_or)
 
 
@@ -411,14 +406,13 @@ def sample_pair(
     pair inside a full run.
     """
     pair_id = _integer(pair_id, "pair_id")
-    kinds = ((rates, RateSet), (er, EntangledRates), (rng, np.random.Generator))
-    if not all(isinstance(value, kind) for value, kind in kinds):
-        raise DomainError("sample_pair needs a RateSet, its EntangledRates and a numpy Generator")
-    if er.gamma_t <= 0.0:
-        raise NoDecayError("gamma_t = 0: entangled pairs never emit")
+    _instance(rates, RateSet, "rates")
+    _instance(er, EntangledRates, "er")
+    _instance(rng, np.random.Generator, "rng")
+    kernel_rates = _entangled_rates(rates, er)
     t = np.empty((1, 2))
     u = rng.random(DRAWS_PER_PAIR).reshape(1, DRAWS_PER_PAIR)
-    code = int(_draw(u, t, *_entangled_rates(rates, er))[0])
+    code = int(_draw(u, t, *kernel_rates)[0])
     species_1, side_1 = _SPECIES_BY_CODE[code & 1], _SIDE_BY_CODE[code >> 1]
     first = PhotonEvent(pair_id, float(t[0, 0]), species_1, side_1, EmissionOrder.FIRST)
     second = PhotonEvent(
@@ -577,17 +571,14 @@ def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
     DomainError up front when n0 pairs would not fit in physical memory or
     under the process's cgroup memory limit.
     """
-    n0 = scenario.n0
+    n0 = _instance(scenario, Scenario, "scenario").n0
     # a thread per block at most, each holding its block's draw scratch
     workers = min(_thread_count(scenario.parallel), -(-n0 // _BLOCK))
     scratch = workers * min(n0, _BLOCK) * _DRAW_BYTES_PER_PAIR
     _check_memory(n0 * _PEAK_BYTES_PER_PAIR + scratch, f"n0 = {n0}")
     rates = scenario.rates
     if scenario.is_entangled:
-        er = derive_rates(rates)
-        if er.gamma_t <= 0.0:
-            raise NoDecayError("gamma_t = 0: entangled pairs never emit")
-        kernel_rates = _entangled_rates(rates, er)
+        kernel_rates = _entangled_rates(rates, derive_rates(rates))
     else:
         kernel_rates = (rates.gamma(scenario.product_species),)
 
@@ -660,9 +651,10 @@ def histogram(
     from binary searches over the time column, put in time order first when
     it is not, so they are exact integers and conservation holds identically.
     """
+    _instance(events, EventStream, "events")
     grid = _validate_grid(grid)
-    n0 = _positive_n0(n0)
-    if mode not in (ENTANGLED, PRODUCT):
+    n0 = _integer(n0, "n0", 1, bits=63)
+    if _instance(mode, str, "mode") not in (ENTANGLED, PRODUCT):
         raise DomainError(f"mode must be {ENTANGLED!r} or {PRODUCT!r}")
     if mode == ENTANGLED:
         order, species = events.order, events.species

@@ -26,11 +26,10 @@ recovers the free rates exactly; W = -1 switches a channel off completely.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
+from ._rules import _complex, _instance, _real
 from .errors import DomainError
 
 __all__ = [
@@ -55,34 +54,6 @@ class Species(Enum):
         return Species.PA if self is Species.OR else Species.OR
 
 
-def _finite_positive(value, name: str) -> float:
-    """value as a float; a DomainError starting with name unless it is a
-    finite real number > 0 (a bool is not one)."""
-    number = math.nan
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
-    if not 0.0 < number < math.inf:
-        raise DomainError(f"{name} must be > 0 and finite, got {value!r}")
-    return number
-
-
-def _finite_complex(value, name: str) -> complex:
-    """value as a complex; a DomainError starting with name unless it is a
-    number (a bool is not one) with finite real and imaginary parts."""
-    number = complex(math.nan)
-    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
-        try:
-            number = complex(value)
-        except OverflowError:  # an integer beyond the float range
-            number = complex(math.inf)
-    if not (math.isfinite(number.real) and math.isfinite(number.imag)):
-        raise DomainError(f"{name} must be a finite number, got {value!r}")
-    return number
-
-
 @dataclass(frozen=True)
 class RateSet:
     """Free-atom decay rates and evolution amplitudes for one pair preparation.
@@ -98,18 +69,18 @@ class RateSet:
     w_pa: complex = 0j
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma_or", _finite_positive(self.gamma_or, "gamma_or"))
-        object.__setattr__(self, "gamma_pa", _finite_positive(self.gamma_pa, "gamma_pa"))
-        object.__setattr__(self, "w_or", _finite_complex(self.w_or, "w_or"))
-        object.__setattr__(self, "w_pa", _finite_complex(self.w_pa, "w_pa"))
+        object.__setattr__(self, "gamma_or", _real(self.gamma_or, "gamma_or"))
+        object.__setattr__(self, "gamma_pa", _real(self.gamma_pa, "gamma_pa"))
+        object.__setattr__(self, "w_or", _complex(self.w_or, "w_or"))
+        object.__setattr__(self, "w_pa", _complex(self.w_pa, "w_pa"))
 
     def gamma(self, h: Species) -> float:
         """Free rate of species h."""
-        return self.gamma_or if h is Species.OR else self.gamma_pa
+        return self.gamma_or if _instance(h, Species, "h") is Species.OR else self.gamma_pa
 
     def w(self, h: Species) -> complex:
         """Amplitude W^h."""
-        return self.w_or if h is Species.OR else self.w_pa
+        return self.w_or if _instance(h, Species, "h") is Species.OR else self.w_pa
 
 
 @dataclass(frozen=True)
@@ -128,17 +99,14 @@ class EntangledRates:
 
     def __post_init__(self) -> None:
         for name in ("gamma_t_or", "gamma_t_pa", "gamma_t"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value < 0.0:
-                raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "lam", float(self.lam))
+            object.__setattr__(self, name, _real(getattr(self, name), name, strict=False))
+        object.__setattr__(self, "lam", _real(self.lam, "lam", -float("inf")))
         if self.gamma_t != self.gamma_t_or + self.gamma_t_pa:
             raise DomainError("gamma_t must equal gamma_t_or + gamma_t_pa exactly")
 
     def species_rate(self, h: Species) -> float:
         """Entangled emission rate of species-h photons."""
-        return self.gamma_t_or if h is Species.OR else self.gamma_t_pa
+        return self.gamma_t_or if _instance(h, Species, "h") is Species.OR else self.gamma_t_pa
 
 
 def relative_modification(w: complex) -> float:
@@ -147,20 +115,20 @@ def relative_modification(w: complex) -> float:
     Evaluated as (1 + Re w)^2 + (Im w)^2 - 1, which is exact at w = 0 and
     w = -1 and never returns a value below -1 in floating point.
     """
-    w = _finite_complex(w, "w")
+    w = _complex(w, "w")
     re1 = 1.0 + w.real
     return re1 * re1 + w.imag * w.imag - 1.0
 
 
 def entangled_rate(gamma_h: float, w_companion: complex) -> float:
     """Emission rate gamma_h * |1 + w_companion|^2 of an entangled pair."""
-    gamma_h = _finite_positive(gamma_h, "gamma_h")
+    gamma_h = _real(gamma_h, "gamma_h")
     return gamma_h * (1.0 + relative_modification(w_companion))
 
 
 def derive_rates(rates: RateSet) -> EntangledRates:
     """All modified rates for a preparation, with the rate-weighted excess lam."""
-    gamma_t_or = entangled_rate(rates.gamma_or, rates.w_pa)
+    gamma_t_or = entangled_rate(_instance(rates, RateSet, "rates").gamma_or, rates.w_pa)
     gamma_t_pa = entangled_rate(rates.gamma_pa, rates.w_or)
     gamma_t = gamma_t_or + gamma_t_pa
     lam = gamma_t - rates.gamma_or - rates.gamma_pa
@@ -175,4 +143,5 @@ def lambda_unweighted(rates: RateSet) -> float:
     weighting that makes lam dimensionally consistent, so it is reported for
     comparison only; derive_rates carries the weighted excess.
     """
-    return relative_modification(rates.w_or) + relative_modification(rates.w_pa)
+    w_or = _instance(rates, RateSet, "rates").w_or
+    return relative_modification(w_or) + relative_modification(rates.w_pa)

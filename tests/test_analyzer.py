@@ -17,6 +17,7 @@ from decaylab import (
     DataError,
     DecayLabError,
     DomainError,
+    EntangledRates,
     EventStream,
     InsufficientDataError,
     RateSet,
@@ -1553,7 +1554,8 @@ def test_malformed_inputs_raise_only_package_errors(case, mode):
 
 
 # each of these once raised a raw TypeError, AttributeError or numpy
-# ValueError, or (two inf points) a RuntimeWarning before its DomainError
+# ValueError, or (two inf points) a RuntimeWarning before its DomainError;
+# a bool seed once ran as seed 1, and a bool rate constructed
 @pytest.mark.parametrize(
     "call",
     [
@@ -1571,6 +1573,11 @@ def test_malformed_inputs_raise_only_package_errors(case, mode):
         lambda: pair_substream(-1, 0),
         lambda: pair_substream(1, "a"),
         lambda: sample_pair(0, RS11, derive_rates(RS11), None),
+        lambda: Scenario(n0=10, rates=RS11, seed=True),
+        lambda: pair_substream(True, 0),
+        lambda: EntangledRates(True, 1.0, 2.0, 0.0),
+        lambda: EntangledRates("a", 1.0, 2.0, 0.0),
+        lambda: EntangledRates(None, 1.0, 2.0, 0.0),
     ],
     ids=[
         "min_pairs-str",
@@ -1587,6 +1594,11 @@ def test_malformed_inputs_raise_only_package_errors(case, mode):
         "seed-negative",
         "pair-id-str",
         "rng-none",
+        "seed-bool",
+        "substream-seed-bool",
+        "entangled-rates-bool",
+        "entangled-rates-str",
+        "entangled-rates-none",
     ],
 )
 def test_analyzer_inputs_of_the_wrong_kind_are_domain_errors(call):

@@ -24,6 +24,7 @@ from decaylab import (
     n_entangled,
     n_single,
     photons_emitted,
+    product_model_distance,
     product_photons,
     product_population,
     species_survival_fraction,
@@ -338,3 +339,44 @@ def test_survival_fraction_monotone():
         s = species_survival_fraction(t, h, rates=rs, er=er)
         assert s[0] == 1.0
         assert np.all(np.diff(s) < 0.0)
+
+
+# each of these once read "or" as pa (the first three returned the pa curve)
+# or ended in a raw AttributeError or KeyError
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rs, er, h: product_photons(1.0, h, 10, rs),
+        lambda rs, er, h: product_population(1.0, h, 10, rs),
+        lambda rs, er, h: photons_emitted(1.0, h, 10, rs, er),
+        lambda rs, er, h: n_single(1.0, h, 10, rs, er),
+        lambda rs, er, h: species_survival_fraction(1.0, h, rs, er),
+        lambda rs, er, h: lifetime_species(h, rs, er),
+        lambda rs, er, h: product_model_distance(evaluate_curve(Scenario(10, rs)), 10, h, 1.0),
+        lambda rs, er, h: rs.gamma(h),
+    ],
+    ids=[
+        "product_photons",
+        "product_population",
+        "photons_emitted",
+        "n_single",
+        "species_survival_fraction",
+        "lifetime_species",
+        "product_model_distance",
+        "RateSet.gamma",
+    ],
+)
+def test_a_species_argument_is_checked_not_guessed(call):
+    rs, er = _pair(1.0, 0.5)
+    assert call(rs, er, Species.OR) != call(rs, er, Species.PA)
+    for h in ("or", "pa", None, 0):
+        with pytest.raises(DomainError, match=f"^h must be of type Species, got {h!r}$"):
+            call(rs, er, h)
+
+
+def test_product_photons_of_a_species_string_is_refused():
+    # the pa value, 3.93, once came back for "or"; or's is 6.32
+    rs = RateSet(1.0, 0.5)
+    assert product_photons(1.0, Species.OR, 10, rs) == pytest.approx(6.3212, abs=1e-4)
+    with pytest.raises(DomainError):
+        product_photons(1.0, "or", 10, rs)

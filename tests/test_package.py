@@ -1,7 +1,28 @@
-"""Tests for the package's export list."""
+"""Tests for the package's export list, its one module of input rules, and
+how every exported callable meets malformed input."""
+
+import inspect
+import math
+import warnings
+from enum import Enum
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import decaylab
-from decaylab import analyzer, errors, kinetics, montecarlo, rates
+from decaylab import _rules, analyzer, cli, errors, kinetics, montecarlo, rates
+from decaylab import (
+    DecayLabError,
+    RateSet,
+    Scenario,
+    Species,
+    classify,
+    derive_rates,
+    erase_identities,
+    simulate,
+)
 
 MODULES = (analyzer, errors, kinetics, montecarlo, rates)
 
@@ -14,3 +35,164 @@ def test_exports_are_the_modules_all_lists():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(decaylab, name) is getattr(module, name)
+
+
+# the rules each module once kept a copy of, under these names
+FORKED = {"_check_n0", "_positive_n0", "_finite_positive", "_finite_complex"}
+
+
+def test_input_rules_have_one_owner():
+    rules = {
+        name
+        for name, value in vars(_rules).items()
+        if inspect.isfunction(value) and value.__module__ == "decaylab._rules"
+    }
+    assert {"_instance", "_real", "_complex", "_integer", "_exact", "_as_times"} <= rules
+    for module in (rates, kinetics, montecarlo, analyzer, cli):
+        used = rules & set(vars(module))
+        assert used, module.__name__
+        for name in used:
+            assert getattr(module, name).__module__ == "decaylab._rules", (module, name)
+        assert not FORKED & set(vars(module)), module.__name__
+    assert not hasattr(_rules, "__all__")
+    assert not rules & set(decaylab.__all__)
+    assert all(name.startswith("_") for name in rules)
+
+
+# ---------------------------------------------------------------------------
+# every exported callable, every parameter, malformed values
+
+
+class _Stranger:
+    """An object of a class that no decaylab call takes."""
+
+
+RS = RateSet(1.0, 0.5, w_or=0.1 + 0.2j)
+ER = derive_rates(RS)
+STILL = derive_rates(RateSet(1.0, 1.0, w_or=-1.0, w_pa=-1.0))  # gamma_t = 0
+SCENARIO = Scenario(n0=8, rates=RS, t_max=10.0, grid_points=5, seed=3)
+PRODUCT = Scenario(n0=5, rates=RS, mode="product", product_species=Species.PA, grid_points=4)
+STREAM, CURVE = simulate(SCENARIO)
+COUNTS = classify(STREAM, SCENARIO.grid(), SCENARIO.n0)
+GRID = [0.0, 0.5, 1.0]
+
+MALFORMED = (
+    "x",
+    None,
+    True,
+    False,
+    math.nan,
+    math.inf,
+    -math.inf,
+    [[0.0, 1.0], [2.0, 3.0]],
+    [[0.0], [1.0, 2.0]],
+    -1,
+    -3,
+    2**64,
+    np.empty(0),
+    _Stranger(),
+    RS,
+    Species.OR,
+    STREAM,
+    CURVE,
+)
+
+RATE = (0.5, 1.0, 2, np.float64(1.5))
+AMPLITUDE = (0, 0.25, 0.1 + 0.2j, -1.0)
+# valid values by parameter name; each parameter draws from these and MALFORMED
+VALID = {
+    "t": (0.0, 0.7, [0.0, 1.0, 2.0], np.linspace(0.0, 3.0, 4)),
+    "h": tuple(Species),
+    "n0": (1, 5, 8, 300.0, np.int64(8)),
+    "rates": (RS,),
+    "reference": (RS,),
+    "er": (ER, STILL),
+    "events": (STREAM, erase_identities(STREAM)),
+    "source": (STREAM, erase_identities(STREAM), CURVE, COUNTS),
+    "grid": (GRID, SCENARIO.grid()),
+    "scenario": (SCENARIO, PRODUCT),  # n0 <= 8, so simulate allocates little
+    "counts": (COUNTS,),
+    "curve": (CURVE,),
+    "entangled": (True, np.bool_(False)),
+    "mode": ("entangled", "product"),
+    "product_species": (None, Species.OR),
+    "parallel": (False, np.bool_(True)),
+    "seed": (0, 7, 2**64 - 1),
+    "rng": (np.random.Generator(np.random.Philox(1)),),
+    "min_pairs": (0, 5),
+    "threshold": (None, 0.1),
+    "tol": (None, 1e-9),
+    "t_max": (None, 10.0),
+    "grid_points": (2, 6),
+    "gamma": RATE,
+    "gamma_h": RATE,
+    "gamma_or": RATE,
+    "gamma_pa": RATE,
+    "gamma_t_or": RATE,
+    "gamma_t_pa": RATE,
+    "gamma_t": RATE,
+    "lam": (0.0, -0.25),
+    "w": AMPLITUDE,
+    "w_companion": AMPLITUDE,
+    "w_or": AMPLITUDE,
+    "w_pa": AMPLITUDE,
+}
+# parameters whose name means a column in these classes
+COLUMNS = {
+    "EventStream": {
+        "pair_id": (STREAM.pair_id, [0, 0, 1]),
+        "time": (STREAM.time, [0.5, 1.0, 0.25]),
+        "species": (STREAM.species, [0, 1, 1]),
+        "side": (STREAM.side, [1, 0, 0]),
+        "order": (STREAM.order, [0, 1, 0]),
+    },
+    "PopulationCurve": {
+        name: ([0, 1, 2], np.array([0.0, 0.5, 2.0])) for name in ("n", "n_or", "n_pa", "N_or", "N_pa")
+    },
+    "ClassifiedCounts": {name: ([0, 1, 2], [1, 1, 1]) for name in ("n1_or", "n1_pa", "n2_or", "n2_pa")},
+    "sample_pair": {"pair_id": (0, 3, np.int64(5))},
+    "pair_substream": {"pair_id": (0, 3, np.int64(5))},
+}
+
+# Enum and exception classes are left out: a lookup by value is Python's
+# Enum protocol, whose ValueError is its contract, and an exception takes
+# any arguments
+CALLABLES = {
+    name: value
+    for name, value in vars(decaylab).items()
+    if name in decaylab.__all__
+    and callable(value)
+    and not (inspect.isclass(value) and issubclass(value, (Enum, BaseException)))
+}
+
+
+def _parameters(name):
+    signature = inspect.signature(CALLABLES[name])
+    kinds = (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
+    return [p.name for p in signature.parameters.values() if p.kind not in kinds]
+
+
+def _valid(call, parameter):
+    return COLUMNS.get(call, {}).get(parameter) or VALID.get(parameter, (1.0,))
+
+
+# one parameter at a time draws from valid and malformed values, the others
+# from valid values only, so that no earlier check hides the one under test
+@pytest.mark.parametrize(
+    "name,parameter", [(name, p) for name in sorted(CALLABLES) for p in _parameters(name)]
+)
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_public_calls_raise_only_package_errors(name, parameter, data):
+    kwargs = {p: data.draw(st.sampled_from(_valid(name, p)), label=p) for p in _parameters(name)}
+    kwargs[parameter] = data.draw(
+        st.sampled_from(list(_valid(name, parameter)) + list(MALFORMED)), label=parameter
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = CALLABLES[name](**kwargs)
+            if name == "detect":
+                result.fitted_rates  # the fit runs on this read
+        except DecayLabError:
+            pass
