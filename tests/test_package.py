@@ -47,7 +47,8 @@ def test_input_rules_have_one_owner():
         for name, value in vars(_rules).items()
         if inspect.isfunction(value) and value.__module__ == "decaylab._rules"
     }
-    assert {"_instance", "_real", "_complex", "_integer", "_exact", "_as_times"} <= rules
+    shared = {"_instance", "_real", "_complex", "_integer", "_exact", "_as_times", "_validate_grid"}
+    assert shared <= rules
     for module in (rates, kinetics, montecarlo, analyzer, cli):
         used = rules & set(vars(module))
         assert used, module.__name__
@@ -147,9 +148,12 @@ COLUMNS = {
         "order": (STREAM.order, [0, 1, 0]),
     },
     "PopulationCurve": {
-        name: ([0, 1, 2], np.array([0.0, 0.5, 2.0])) for name in ("n", "n_or", "n_pa", "N_or", "N_pa")
+        name: ([0, 1, 2], np.array([0.0, 0.5, 2.0]))
+        for name in ("n", "n_or", "n_pa", "N_or", "N_pa")
     },
-    "ClassifiedCounts": {name: ([0, 1, 2], [1, 1, 1]) for name in ("n1_or", "n1_pa", "n2_or", "n2_pa")},
+    "ClassifiedCounts": {
+        name: ([0, 1, 2], [1, 1, 1]) for name in ("n1_or", "n1_pa", "n2_or", "n2_pa")
+    },
     "sample_pair": {"pair_id": (0, 3, np.int64(5))},
     "pair_substream": {"pair_id": (0, 3, np.int64(5))},
 }
