@@ -13,12 +13,22 @@ import numpy as np
 from .errors import DomainError
 
 
+def _quote(value) -> str:
+    """repr(value) for a message; an int past the digit limit of int-to-str
+    conversion, whose repr raises, by its bit length, and a container of one
+    by its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits" if isinstance(value, int) else type(value).__name__
+
+
 def _instance(value, kinds, name: str):
     """value; a DomainError starting with name unless it is an instance of
     kinds, a class or a tuple of classes."""
     if not isinstance(value, kinds):
         names = dict.fromkeys(k.__name__ for k in (kinds if isinstance(kinds, tuple) else (kinds,)))
-        raise DomainError(f"{name} must be of type {' or '.join(names)}, got {value!r}")
+        raise DomainError(f"{name} must be of type {' or '.join(names)}, got {_quote(value)}")
     return value
 
 
@@ -34,7 +44,7 @@ def _real(value, name: str, least: float = 0.0, strict: bool = True) -> float:
             number = math.inf
     if not (number > least or not strict and number == least) or number == math.inf:
         bound = f"{'>' if strict else '>='} {least:g}"
-        raise DomainError(f"{name} must be a finite real number and must be {bound}, got {value!r}")
+        raise DomainError(f"{name} must be a finite real number and must be {bound}, got {_quote(value)}")
     return number
 
 
@@ -48,7 +58,7 @@ def _complex(value, name: str) -> complex:
         except OverflowError:  # an integer beyond the float range
             number = complex(math.inf)
     if not (math.isfinite(number.real) and math.isfinite(number.imag)):
-        raise DomainError(f"{name} must be a finite number, got {value!r}")
+        raise DomainError(f"{name} must be a finite number, got {_quote(value)}")
     return number
 
 
@@ -62,7 +72,7 @@ def _integer(value, name: str, least: int = 0, bits: int | None = None) -> int:
             return number
     kind = "a positive integer" if least == 1 else f"an integer >= {least}"
     below = "" if bits is None else f" below 2**{bits}"
-    raise DomainError(f"{name} must be {kind}{below}, got {value!r}")
+    raise DomainError(f"{name} must be {kind}{below}, got {_quote(value)}")
 
 
 def _exact(values, dtype, name: str, error: type = DomainError) -> np.ndarray:

@@ -29,29 +29,6 @@ its own hypothesis at fluctuation scale 1/sqrt(n0); entangled data puts
 half its photons in the companion species of every hypothesis, pinning the
 statistic near one.  The verdict bands the statistic against a threshold,
 by default three times the 95% Kolmogorov fluctuation scale 1.36/sqrt(n0).
-
-The pair checks behind classify and estimate_rates run once per stream, in
-a join that reads the rows a block at a time.  Beyond a block it holds a
-4 B/pair first-row table and 8 B per first time, then a 1 B/pair table of
-seen seconds and 8 B per delay: about 7.5 B/row at 1e6 pairs, and 6 on a
-product stream, whose time column already is its first times.  A gathered
-view (below) holds 10 B/row, its time column in the key sort's own buffer.
-
-Both scans read one time-ordered view of a stream, kept on it: its own
-columns when its times never decrease, as simulate's, else one key sort's
-gather of them.  The view is split into segments of _SEGMENT rows and keeps
-each segment's first time (then the last time) and the pa rows before it
-(then the pa rows in all); the or rows before a segment are its first row
-less its pa rows.  On its first classify a stream also keeps the second and
-second pa rows before each segment; classify then searches the grid in the
-view and counts each grid point as those prefixes plus the rows of its own
-segment before it, reading only the segments that grid points fall in.
-detect bounds the gap of every segment from the model at its kept end times
-and the counts before and after it, so a call gathers nothing to bound, and
-evaluates the gaps exactly only in segments whose bound can reach the
-supremum.  Erasing identities copies nothing: the erased stream shares the
-observed columns and the kept view, and its pair-id and order columns are
-constant read-only views of a single value.
 """
 
 from __future__ import annotations
@@ -63,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._rules import _exact, _instance, _integer, _real, _validate_grid
+from ._rules import _exact, _instance, _integer, _quote, _real, _validate_grid
 from .errors import (
     DataError,
     DomainError,
@@ -155,7 +132,8 @@ class ClassifiedCounts:
 
 def _ordered(events: EventStream) -> tuple:
     """The stream's (time, species, order) columns in time order (its own when
-    its time never decreases, else _time_order's key sort and gathers), then
+    its time never decreases, else _time_order's key sort and gathers, 10
+    B/row with the time column in the sort's own key buffer), then
     _segment_ends of its time and _prefix_sums of its pa rows.  Found once
     per stream and kept in its __dict__, as the pair join is, so no later
     detect gathers or counts a segment to bound it."""
@@ -198,15 +176,15 @@ def _row_starts(n: int) -> np.ndarray:
 
 
 def _tallies(events: EventStream) -> tuple:
-    """_prefix_sums of the second rows and of the second pa rows of the
-    stream's time-ordered view; with the view's pa prefix they count every
-    category before each segment.  Found on the stream's first classify and
-    kept in its __dict__ beside the view, so a caller that only detects
-    never pays for them."""
+    """_prefix_sums of the pa rows (the view's own), the second rows and the
+    second pa rows of the stream's time-ordered view: with the segments'
+    first rows they count every category before each segment.  Found on the
+    stream's first classify and kept in its __dict__ beside the view, so a
+    caller that only detects never pays for them."""
     memo = vars(events)
     if "_tallies" not in memo:
-        _, species, order, *_ = _ordered(events)
-        memo["_tallies"] = _prefix_sums(order), _prefix_sums(species & order)
+        _, species, order, _, pa = _ordered(events)
+        memo["_tallies"] = pa, _prefix_sums(order), _prefix_sums(species & order)
     return memo["_tallies"]
 
 
@@ -245,6 +223,8 @@ def _join(events: EventStream) -> tuple:
     # over one contiguous array of its terms in row order, the bits of the
     # whole-stream sum, not pairwise sums of per-block sums.  Gathers by rows
     # that flatnonzero found take mode="clip", which skips a buffered copy.
+    # Beyond a block the tables below hold about 7.5 B/row at 1e6 pairs, and
+    # 6 on a product stream, whose time column already is its first times.
     pid, species, time, order = events.pair_id, events.species, events.time, events.order
     n = pid.size
     n_ids = int(pid.max()) + 1 if n else 0
@@ -326,36 +306,37 @@ def _tally_counts(events: EventStream, grid: np.ndarray) -> tuple:
 
     A grid point's edge e, the rows of the time-ordered view at or before
     it, lies in segment s = (e - 1) // _SEGMENT (0 when e = 0): the kept
-    prefixes give the rows before s and _segment_table the rows of s before
-    e.  Each
-    distinct segment is read once, _CHUNK // _SEGMENT of them at a time, so
-    no temporary has more than a few words per grid point or row read.
+    prefixes give the rows before s, and a running sum over the rows of s,
+    gathered by _segment_rows, the rows of s before e.  Each distinct
+    segment is gathered once, _CHUNK // _SEGMENT of them at a time, so no
+    temporary has more than a few words per grid point or row gathered.
     """
-    time, species, order, *_, pa = _ordered(events)
-    prefixes = (pa, *_tallies(events))
+    time, species, order, *_ = _ordered(events)
     edges = np.searchsorted(time, grid, side="right")
     # pa, second and second pa rows; the grid ascends, and so do the segments
-    counts = np.zeros((3, grid.size), dtype=np.int64)
+    counts = np.empty((3, grid.size), dtype=np.int64)
     seg = np.maximum(edges - 1, 0) // _SEGMENT
-    # the distinct segments, by a mask, not np.unique's sorted copy; an empty
-    # view has no segment to read, and every count is 0
+    # the distinct segments, by a mask, not np.unique's sorted copy
     new = np.ones(seg.size, dtype=bool)
     np.not_equal(seg[1:], seg[:-1], out=new[1:])
-    distinct = seg[new] if time.size else seg[:0]
+    distinct = seg[new]
     step = _CHUNK // _SEGMENT
+    # a running sum of one code over a chunk's gathered rows, after a 0
+    running = np.zeros(min(distinct.size, step) * _SEGMENT + 1, dtype=np.int64)
     for c in range(0, distinct.size, step):
         segs = distinct[c : c + step]
         p0 = np.searchsorted(seg, segs[0], side="left")
         p1 = np.searchsorted(seg, segs[-1], side="right")
-        # each point's entry in the chunk's table: its segment's place in
-        # the chunk, then its edge's rank inside that segment
-        at = np.searchsorted(segs, seg[p0:p1])
-        at *= _SEGMENT + 1
-        at += edges[p0:p1]
-        at -= seg[p0:p1] * _SEGMENT
-        table = _segment_table(species, order, segs, prefixes).reshape(3, -1)
-        for row, entries in zip(counts[:, p0:p1], table):
-            np.take(entries, at, out=row)
+        # each point's segment's first row among the gathered rows, then its
+        # edge's place among them
+        start = np.searchsorted(segs, seg[p0:p1]) * _SEGMENT
+        at = start + edges[p0:p1] - seg[p0:p1] * _SEGMENT
+        sp, od = _segment_rows(species, segs), _segment_rows(order, segs)
+        for row, codes, prefix in zip(counts[:, p0:p1], (sp, od, sp & od), _tallies(events)):
+            np.cumsum(codes, dtype=np.int64, out=running[1 : codes.size + 1])
+            np.take(running, at, out=row)
+            row -= running.take(start)
+            row += prefix.take(seg[p0:p1])
     pa, second, both = counts
     pa -= both  # first pa
     second -= both  # second or
@@ -363,26 +344,6 @@ def _tally_counts(events: EventStream, grid: np.ndarray) -> tuple:
     edges -= second
     edges -= both
     return edges, pa, second, both
-
-
-def _segment_table(species, order, segs, prefixes) -> np.ndarray:
-    """(3, segs.size, _SEGMENT + 1): the pa, second and second pa rows of
-    the view before each rank 0.._SEGMENT of each ascending segment in segs
-    (the last segment of the view may be shorter; its missing rows count
-    as none), starting from prefixes, the pa, second and second pa rows
-    before each segment of the view."""
-    table = np.zeros((3, segs.size, _SEGMENT + 1), dtype=np.int64)
-    whole = species.size // _SEGMENT
-    full = segs[: np.searchsorted(segs, whole)]
-    for row, column in zip(table, (species, order)):
-        row[: full.size, 1:] = column[: whole * _SEGMENT].reshape(whole, _SEGMENT)[full]
-        if full.size < segs.size:
-            tail = column[whole * _SEGMENT :]
-            row[-1, 1 : tail.size + 1] = tail
-    np.bitwise_and(table[0], table[1], out=table[2])
-    for row, prefix in zip(table, prefixes):
-        row[:, 0] = prefix[segs]
-    return np.cumsum(table, axis=2, out=table)
 
 
 def reconstruct(counts: ClassifiedCounts) -> PopulationCurve:
@@ -467,7 +428,7 @@ def estimate_rates(
     n_pairs, first_sum, seconds = _pair_join(events, n0)
     if n_pairs < min_pairs:
         raise InsufficientDataError(
-            f"{n_pairs} first emissions, need at least {min_pairs}"
+            f"{n_pairs} first emissions, need at least {_quote(min_pairs)}"
         )
     if first_sum <= 0.0:
         raise DataError("first-emission times sum to zero")
@@ -504,8 +465,9 @@ class DetectionVerdict:
     threshold: float
     distances: dict[str, float]
     reason: str = ""
-    # (stream, n0, min_pairs) for estimate_rates; None when no fit applies
-    fit_args: tuple | None = field(default=None, repr=False, compare=False)
+    # (stream, n0, min_pairs) for estimate_rates, set by detect for a stream
+    # source; None when no fit applies
+    fit_args: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def fitted_rates(self) -> RateEstimates | None:
@@ -599,11 +561,6 @@ def _segment_rows(a: np.ndarray, seg: np.ndarray) -> np.ndarray:
     return np.concatenate([rows, a[whole * _SEGMENT :]]) if short else rows
 
 
-def _grid_distance(grid: np.ndarray, photons: np.ndarray, n0: float, gamma: float) -> float:
-    model = -np.expm1(-gamma * grid)
-    return float(np.max(np.abs(photons / n0 - model)))
-
-
 def product_model_distance(source, n0: float, h: Species, gamma: float) -> float:
     """Sup-norm distance of the species-h photon record from the one-species
     product model n0 (1 - exp(-gamma t)).
@@ -619,7 +576,8 @@ def product_model_distance(source, n0: float, h: Species, gamma: float) -> float
         time, species, _, ends, pa = _ordered(source)
         prefix = pa if code == PA_CODE else _row_starts(time.size) - pa
         return _sup_distance(time, n0, gamma, (ends, prefix), species, code)
-    return _grid_distance(source.grid, np.asarray(source.photons(h), dtype=float), n0, gamma)
+    photons = np.asarray(source.photons(h), dtype=float)
+    return float(np.max(np.abs(photons / n0 - _model(source.grid, gamma))))
 
 
 def _companion_mass(source, h: Species, n0: float) -> float:
@@ -627,8 +585,7 @@ def _companion_mass(source, h: Species, n0: float) -> float:
     if isinstance(source, EventStream):
         pa = int(_ordered(source)[-1][-1])  # the view's pa rows in all
         return (pa if h is Species.PA else len(source) - pa) / n0
-    photons = source.photons(h)
-    return float(np.max(photons)) / n0 if len(photons) else 0.0
+    return float(np.max(source.photons(h))) / n0
 
 
 def detect(
@@ -650,8 +607,8 @@ def detect(
     merged at W = 0 (lambda = 0) are ENTANGLED too.  A gridded source takes
     any finite n0 > 0; a stream counts its pairs, so its n0 must be a whole
     number below 2**63, which the rate fit then receives exactly.  A stream
-    is read through its kept time-ordered view, segment by segment (see the
-    module docstring), bit for bit as the full evaluation.
+    is read through its kept time-ordered view, segment by segment (see
+    _sup_distance), bit for bit as the full evaluation.
     """
     _real(n0, "n0")
     min_pairs = _integer(min_pairs, "min_pairs")
@@ -673,11 +630,13 @@ def detect(
     statistic = min(distances["product_or"], distances["product_pa"])
 
     if n0 < min_pairs:
-        verdict, reason = Verdict.INCONCLUSIVE, f"sample size {n0:g} below minimum {min_pairs}"
+        verdict, reason = Verdict.INCONCLUSIVE, f"sample size {n0:g} below minimum {_quote(min_pairs)}"
     elif statistic > 1.2 * threshold:
         verdict, reason = Verdict.ENTANGLED, ""
     elif statistic < 0.8 * threshold:
         verdict, reason = Verdict.PRODUCT, ""
     else:
         verdict, reason = Verdict.INCONCLUSIVE, "statistic inside the threshold band"
-    return DetectionVerdict(verdict, statistic, threshold, distances, reason, fit_args)
+    result = DetectionVerdict(verdict, statistic, threshold, distances, reason)
+    object.__setattr__(result, "fit_args", fit_args)
+    return result

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rules import _instance, _integer, _real
+from ._rules import _instance, _integer, _quote, _real
 from .analyzer import (
     MIN_PAIRS_DEFAULT,
     classify,
@@ -130,7 +130,7 @@ class RunConfig:
             except TypeError:  # not iterable, or holding unhashable items
                 emit = None
             if isinstance(self.emit, str) or emit is None or not all(isinstance(e, str) for e in emit):
-                raise ConfigError(f"emit must be a collection of stage names, got {self.emit!r}")
+                raise ConfigError(f"emit must be a collection of stage names, got {_quote(self.emit)}")
             if not emit:
                 raise ConfigError("emit must name at least one stage")
             unknown = emit - set(STAGES)
@@ -456,7 +456,7 @@ def _run_stages(config: RunConfig, quiet: bool) -> None:
         diff = 0
         for name in ("n", "n_or", "n_pa", "N_or", "N_pa"):
             delta = np.abs(getattr(recon, name) - getattr(empirical, name))
-            diff = max(diff, int(delta.max()) if delta.size else 0)
+            diff = max(diff, int(delta.max()))
         del counts, recon, delta
         summary["reconstruction"] = {
             "matches_montecarlo": diff == 0,

@@ -1,6 +1,7 @@
 """Tests for classification, reconstruction, rate fits, and detection."""
 
 import copy
+import inspect
 import pickle
 import tracemalloc
 import warnings
@@ -16,6 +17,7 @@ from decaylab import (
     ClassifiedCounts,
     DataError,
     DecayLabError,
+    DetectionVerdict,
     DomainError,
     EntangledRates,
     EventStream,
@@ -1302,6 +1304,15 @@ def test_detect_stream_n0_must_be_whole():
     assert whole.fit_args[1] == 300 and type(whole.fit_args[1]) is int
     assert whole.fitted_rates == estimate_rates(stream, 300, 10)
     assert whole.statistic == detect(stream, 300, RS11, min_pairs=10).statistic
+
+
+def test_detection_verdict_takes_no_fit_arguments():
+    # the fit's arguments are detect's to set: a verdict built by hand once
+    # took a stray sixth argument and then failed on reading fitted_rates
+    assert "fit_args" not in inspect.signature(DetectionVerdict).parameters
+    verdict = DetectionVerdict(Verdict.PRODUCT, 0.0, 1.0, {}, "")
+    assert verdict.fit_args is None and verdict.fitted_rates is None
+    assert "fit_args" not in repr(verdict)
 
 
 def test_detect_holds_a_stream_n0_below_2_63_up_front():

@@ -81,9 +81,12 @@ def test_parse_comments_and_duplicates():
         "gamma_pa = 2.0\n"
         "seed = 1\n"
         "seed = 7\n"
+        "parallel = on\n"
+        "parallel = off\n"
     )
     config = parse_config(text)
     assert config.scenario.seed == 7
+    assert not config.scenario.parallel
     assert config.scenario.rates.gamma_pa == 2.0
 
 
@@ -131,6 +134,8 @@ def test_parse_product_mode():
         (MINIMAL + "t_max =\n", "no value"),
         (MINIMAL + "w_or = fast\n", "complex"),
         (MINIMAL + "mode = product:pa\nemit = reconstruction\n", "reconstruction"),
+        (MINIMAL + "emit = ,\n", "line 4: emit must name at least one stage"),
+        (MINIMAL + "parallel = maybe\n", "line 4: parallel must be a boolean"),
     ],
 )
 def test_parse_errors_carry_context(text, fragment):
@@ -176,6 +181,8 @@ def test_range_errors_name_the_line_of_their_key(line):
         ("detection_min_pairs", "3"),
         ("detection_threshold", True),
         ("detection_min_pairs", 2.5),
+        # an int whose repr raises, quoted by its bit length
+        pytest.param("emit", 10**5000, id="emit-huge-int"),
     ],
 )
 def test_run_config_values_of_the_wrong_type_are_config_errors(field, value):
@@ -618,6 +625,13 @@ def test_quiet_suppresses_progress(tmp_path, capsys):
     code, _ = _run(tmp_path, MINIMAL)
     assert code == 0
     assert capsys.readouterr().out == ""
+
+
+def test_run_prints_a_note_per_stage(tmp_path, capsys):
+    config = parse_config(MINIMAL + f"out = {tmp_path / 'out'}\nemit = analytic, montecarlo\n")
+    assert cli.run(config) == 0
+    notes = capsys.readouterr().out.splitlines()
+    assert [note.split()[0] for note in notes] == ["analytic:", "montecarlo:", "summary"]
 
 
 # ---------------------------------------------------------------------------

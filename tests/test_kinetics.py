@@ -240,6 +240,22 @@ def test_evaluate_curve_product_mode():
     assert np.all(curve.N_or == 0.0)
     assert curve.N_pa[-1] == pytest.approx(500.0 - expect[-1], rel=1e-12)
     assert conservation_residual(curve, entangled=False) <= 1e-9 * sc.n0
+    # an or preparation decays at gamma_or and fills N_or instead
+    sc = Scenario(
+        n0=500,
+        rates=RateSet(2.0, 0.5),
+        mode="product",
+        product_species=Species.OR,
+        t_max=4.0,
+        grid_points=33,
+    )
+    curve = evaluate_curve(sc)
+    expect = 500.0 * np.exp(-2.0 * curve.grid)
+    np.testing.assert_allclose(curve.n, expect, rtol=1e-12)
+    assert np.all(curve.n_or == 0.0) and np.all(curve.n_pa == 0.0)
+    assert np.all(curve.N_pa == 0.0)
+    assert curve.N_or[-1] == pytest.approx(500.0 - expect[-1], rel=1e-12)
+    assert conservation_residual(curve, entangled=False) <= 1e-9 * sc.n0
 
 
 def test_evaluate_curve_single_point_grid():
@@ -312,6 +328,8 @@ def test_species_lifetime_shifts_under_modification():
     tau = lifetime_species(Species.PA, rs, er)
     assert tau == pytest.approx(0.799170726, abs=1e-6)
     assert abs(tau - 1.0) > 1e-3
+    # a tol below the float spacing ends the bisection at adjacent floats
+    assert lifetime_species(Species.PA, rs, er, tol=1e-300) == pytest.approx(tau, rel=1e-11)
 
 
 def test_lifetime_requires_decay():

@@ -286,9 +286,19 @@ def test_simulate_counts_each_workers_draw_block(monkeypatch):
     simulate(Scenario(n0=2 * _BLOCK, rates=RS11, parallel=True))
 
 
+def test_simulate_runs_when_no_memory_limit_is_found(monkeypatch):
+    # neither physical memory nor a cgroup limit read: no run is refused
+    monkeypatch.setattr("decaylab.montecarlo._memory_bytes", lambda: None)
+    stream, _ = simulate(Scenario(n0=1000, rates=RS11))
+    assert len(stream) == 2000
+
+
 def test_thread_env_validation(monkeypatch):
     monkeypatch.setenv("DECAYLAB_THREADS", "lots")
     with pytest.raises(ConfigError):
+        simulate(Scenario(n0=10, rates=RS11, parallel=True))
+    monkeypatch.setenv("DECAYLAB_THREADS", "-1")
+    with pytest.raises(ConfigError, match=">= 0"):
         simulate(Scenario(n0=10, rates=RS11, parallel=True))
 
 

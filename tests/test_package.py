@@ -60,6 +60,21 @@ def test_input_rules_have_one_owner():
     assert all(name.startswith("_") for name in rules)
 
 
+def test_rule_messages_quote_a_huge_integer_by_its_bit_length():
+    # repr of an int past the int-to-str digit limit raises ValueError
+    huge = 10**5000
+    for call in (
+        lambda: RateSet(huge, 1.0),
+        lambda: decaylab.default_threshold(huge),
+        lambda: Scenario(n0=huge, rates=RateSet(1.0, 1.0)),
+        lambda: decaylab.pair_substream(huge, 0),
+    ):
+        with pytest.raises(errors.DomainError, match=f"got an int of {huge.bit_length()} bits"):
+            call()
+    with pytest.raises(errors.DomainError, match="got list"):
+        RateSet([huge], 1.0)
+
+
 # ---------------------------------------------------------------------------
 # every exported callable, every parameter, malformed values
 
@@ -90,6 +105,7 @@ MALFORMED = (
     -1,
     -3,
     2**64,
+    10**5000,  # past the digit limit of int-to-str conversion, which repr uses
     np.empty(0),
     _Stranger(),
     RS,
