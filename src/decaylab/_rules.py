@@ -1,12 +1,14 @@
 """The argument rules of every decaylab module.  Each returns its argument
 as the caller computes with it, or raises a DomainError (_exact: the error
 the caller names) whose message starts with the argument's name, which
-parse_config reads to point a config error at its line."""
+parse_config reads to point a config error at its line.  _Lookup is the
+rule of the package's Enums."""
 
 from __future__ import annotations
 
 import math
 import numbers
+from enum import EnumMeta
 
 import numpy as np
 
@@ -21,6 +23,20 @@ def _quote(value) -> str:
         return repr(value)
     except ValueError:
         return f"an int of {value.bit_length()} bits" if isinstance(value, int) else type(value).__name__
+
+
+class _Lookup(EnumMeta):
+    """The metaclass of the package's Enums: a lookup by a value that no
+    member holds raises a DomainError starting with the class name, not the
+    ValueError of Enum (or of numpy, when an array is compared with each
+    member's value)."""
+
+    def __call__(cls, value, *args, **kwargs):
+        try:
+            return super().__call__(value, *args, **kwargs)
+        except ValueError:
+            values = ", ".join(repr(member.value) for member in cls)
+            raise DomainError(f"{cls.__name__} must be one of {values}, got {_quote(value)}") from None
 
 
 def _instance(value, kinds, name: str):

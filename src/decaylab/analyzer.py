@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._rules import _exact, _instance, _integer, _quote, _real, _validate_grid
+from ._rules import _Lookup, _exact, _instance, _integer, _quote, _real, _validate_grid
 from .errors import (
     DataError,
     DomainError,
@@ -50,7 +50,6 @@ from .errors import (
 from .kinetics import PopulationCurve
 from .montecarlo import (
     FIRST_CODE,
-    OR_CODE,
     PA_CODE,
     SECOND_CODE,
     SPECIES_CODE,
@@ -133,10 +132,12 @@ class ClassifiedCounts:
 def _ordered(events: EventStream) -> tuple:
     """The stream's (time, species, order) columns in time order (its own when
     its time never decreases, else _time_order's key sort and gathers, 10
-    B/row with the time column in the sort's own key buffer), then
-    _segment_ends of its time and _prefix_sums of its pa rows.  Found once
-    per stream and kept in its __dict__, as the pair join is, so no later
-    detect gathers or counts a segment to bound it."""
+    B/row with the time column in the sort's own key buffer), then the first
+    time of each _SEGMENT-row segment followed by the last time, and the
+    prefix table: read-only int64, one row per species code, holding that
+    species' rows before each segment, then in all.  Found once per stream
+    and kept in its __dict__, as the pair join is, so no later detect gathers
+    or counts a segment to bound it."""
     memo = vars(events)
     if "_ordered" not in memo:
         time, species, order = events.time, events.species, events.order
@@ -146,14 +147,12 @@ def _ordered(events: EventStream) -> tuple:
                 time, species = _time_order(time, (species,))
             else:
                 time, species, order = _time_order(time, (species, order))
-        memo["_ordered"] = time, species, order, _segment_ends(time), _prefix_sums(species)
+        pa = _prefix_sums(species)
+        # rows OR_CODE (0) and PA_CODE (1): the rows that are not pa are or
+        prefix = np.stack((np.minimum(np.arange(pa.size) * _SEGMENT, time.size) - pa, pa))
+        prefix.flags.writeable = False
+        memo["_ordered"] = time, species, order, np.append(time[::_SEGMENT], time[-1:]), prefix
     return memo["_ordered"]
-
-
-def _segment_ends(time: np.ndarray) -> np.ndarray:
-    """The first time of each _SEGMENT-row segment, then the last time: the
-    rows of segment s lie between ends s and s + 1."""
-    return np.append(time[::_SEGMENT], time[-1:])
 
 
 def _prefix_sums(codes: np.ndarray) -> np.ndarray:
@@ -170,21 +169,16 @@ def _prefix_sums(codes: np.ndarray) -> np.ndarray:
     return prefix
 
 
-def _row_starts(n: int) -> np.ndarray:
-    """The first row of each _SEGMENT-row segment of n rows, then n."""
-    return np.minimum(np.arange(0, n + _SEGMENT, _SEGMENT), n)
-
-
 def _tallies(events: EventStream) -> tuple:
-    """_prefix_sums of the pa rows (the view's own), the second rows and the
-    second pa rows of the stream's time-ordered view: with the segments'
-    first rows they count every category before each segment.  Found on the
-    stream's first classify and kept in its __dict__ beside the view, so a
-    caller that only detects never pays for them."""
+    """The pa row of the view's prefix table, then _prefix_sums of the
+    second rows and the second pa rows of the stream's time-ordered view:
+    with the segments' first rows they count every category before each
+    segment.  Found on the stream's first classify and kept in its __dict__
+    beside the view, so a caller that only detects never pays for them."""
     memo = vars(events)
     if "_tallies" not in memo:
-        _, species, order, _, pa = _ordered(events)
-        memo["_tallies"] = pa, _prefix_sums(order), _prefix_sums(species & order)
+        _, species, order, _, prefix = _ordered(events)
+        memo["_tallies"] = prefix[PA_CODE], _prefix_sums(order), _prefix_sums(species & order)
     return memo["_tallies"]
 
 
@@ -442,7 +436,7 @@ def estimate_rates(
     return RateEstimates(*fits)
 
 
-class Verdict(Enum):
+class Verdict(Enum, metaclass=_Lookup):
     ENTANGLED = "entangled"
     PRODUCT = "product"
     INCONCLUSIVE = "inconclusive"
@@ -491,13 +485,10 @@ def _model(t: np.ndarray, gamma: float) -> np.ndarray:
     return np.negative(m, out=m)
 
 
-def _sup_distance(time, n0: float, gamma: float, segments=None, species=None, code=None) -> float:
+def _sup_distance(time, species, code, ends, prefix, n0: float, gamma: float) -> float:
     """sup over t of |count(<= t)/n0 - (1 - exp(-gamma t))|, counting the
-    rows of a non-decreasing time column whose species is code (every row
-    when species is None).  segments is (ends, prefix), as kept with a
-    stream's view: each _SEGMENT-row segment's first time, then the last
-    time, and the counted rows before each segment, then in all.  They are
-    found from time, counting every row, when segments is None.
+    rows of a kept view's time column whose species is code.  ends and
+    prefix are the view's segment ends and code's row of its prefix table.
 
     The supremum is taken at the jump points from both sides plus the
     t -> infinity tail.  Inside a segment the model lies between its values
@@ -507,9 +498,6 @@ def _sup_distance(time, n0: float, gamma: float, segments=None, species=None, co
     the largest exact gap found; those gaps run the same ufuncs on the same
     operands as a full evaluation, and max is exact, so no bit moves.
     """
-    if segments is None:
-        segments = _segment_ends(time), _row_starts(time.size)
-    ends, prefix = segments
     k = int(prefix[-1])
     # a Python 0.0 seed would turn an all-zero distance into a float
     before = after = np.float64(0.0)
@@ -537,9 +525,7 @@ def _sup_distance(time, n0: float, gamma: float, segments=None, species=None, co
 
 def _segment_gaps(time, seg, prefix, n0, gamma, species, code) -> tuple:
     """The largest gaps left and right of the jumps in segments seg."""
-    t = _segment_rows(time, seg)
-    if species is not None:
-        t = np.compress(_segment_rows(species, seg) == code, t)
+    t = np.compress(_segment_rows(species, seg) == code, _segment_rows(time, seg))
     c = prefix[seg + 1] - prefix[seg]
     # a row's level is the counted rows before it: those before its segment,
     # then its rank inside the segment
@@ -573,9 +559,8 @@ def product_model_distance(source, n0: float, h: Species, gamma: float) -> float
     _instance(source, (EventStream, ClassifiedCounts, PopulationCurve), "source")
     code = SPECIES_CODE[_instance(h, Species, "h")]
     if isinstance(source, EventStream):
-        time, species, _, ends, pa = _ordered(source)
-        prefix = pa if code == PA_CODE else _row_starts(time.size) - pa
-        return _sup_distance(time, n0, gamma, (ends, prefix), species, code)
+        time, species, _, ends, prefix = _ordered(source)
+        return _sup_distance(time, species, code, ends, prefix[code], n0, gamma)
     photons = np.asarray(source.photons(h), dtype=float)
     return float(np.max(np.abs(photons / n0 - _model(source.grid, gamma))))
 
@@ -583,8 +568,7 @@ def product_model_distance(source, n0: float, h: Species, gamma: float) -> float
 def _companion_mass(source, h: Species, n0: float) -> float:
     # source has passed product_model_distance's type check
     if isinstance(source, EventStream):
-        pa = int(_ordered(source)[-1][-1])  # the view's pa rows in all
-        return (pa if h is Species.PA else len(source) - pa) / n0
+        return int(_ordered(source)[-1][SPECIES_CODE[h], -1]) / n0  # h's rows in all
     return float(np.max(source.photons(h))) / n0
 
 

@@ -534,7 +534,3 @@ def main(argv=None) -> int:
         _emit_error(ConfigError(str(exc)))
         return 3
     return run(config, quiet=args.quiet)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -31,7 +31,7 @@ from functools import cache
 
 import numpy as np
 
-from ._rules import _exact, _instance, _integer, _real, _validate_grid
+from ._rules import _Lookup, _exact, _instance, _integer, _real, _validate_grid
 from .errors import ConfigError, DataError, DomainError, NoDecayError
 from .kinetics import PopulationCurve
 from .rates import EntangledRates, RateSet, Species, derive_rates
@@ -91,7 +91,7 @@ _DRAW_BYTES_PER_PAIR = 40
 _PEAK_BYTES_PER_POINT = 168
 
 
-class Side(Enum):
+class Side(Enum, metaclass=_Lookup):
     """Which side of the apparatus a photon left through."""
 
     L = "L"
@@ -101,7 +101,7 @@ class Side(Enum):
         return Side.R if self is Side.L else Side.L
 
 
-class EmissionOrder(Enum):
+class EmissionOrder(Enum, metaclass=_Lookup):
     """Whether a photon was the pair's first or second emission."""
 
     FIRST = "first"

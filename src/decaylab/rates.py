@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ._rules import _complex, _instance, _real
+from ._rules import _Lookup, _complex, _instance, _real
 from .errors import DomainError
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-class Species(Enum):
+class Species(Enum, metaclass=_Lookup):
     """Metastable species tag: ortho or para."""
 
     OR = "or"

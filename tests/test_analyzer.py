@@ -681,6 +681,17 @@ def _stream_distance_reference(sorted_times, n0, gamma):
     return max(before, after, tail)
 
 
+def _distance(sorted_times, n0, gamma):
+    """_sup_distance of sorted times, read as the or rows of the kept view
+    of an erased stream that holds only them."""
+    k = sorted_times.size
+    stream = EventStream(
+        np.full(k, -1), sorted_times, np.full(k, OR_CODE), np.zeros(k, int), np.full(k, UNKNOWN_CODE)
+    )
+    time, species, _, ends, prefix = _ordered(stream)
+    return _sup_distance(time, species, OR_CODE, ends, prefix[OR_CODE], n0, gamma)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.sampled_from([0.0, 1e-9, 0.1, 0.5, 0.7, 1.0, 2.0, 30.0]), max_size=40).map(sorted),
@@ -689,7 +700,7 @@ def _stream_distance_reference(sorted_times, n0, gamma):
 )
 def test_stream_distance_matches_reference_bits(times, n0, gamma):
     times = np.array(times, dtype=float)
-    got = _sup_distance(times, n0, gamma)
+    got = _distance(times, n0, gamma)
     want = _stream_distance_reference(times, n0, gamma)
     assert type(got) is type(want)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -706,7 +717,7 @@ def test_stream_distance_matches_reference_across_blocks(k, n0_kind):
     times = np.sort(np.round(rng.exponential(1.0, k), 3))
     n0 = max(k, 1) if n0_kind == "k" else 1.7 * k + 0.3
     for gamma in (0.5, 1.0, 37.0):
-        got = _sup_distance(times, n0, gamma)
+        got = _distance(times, n0, gamma)
         want = _stream_distance_reference(times, n0, gamma)
         assert type(got) is type(want)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -721,7 +732,7 @@ def test_stream_distance_counts_every_row_at_block_edges(k):
     for p in sorted({1, block - 1, block, block + 1, 2 * block, 3 * block, k - 1} & set(range(1, k))):
         times = np.zeros(k)
         times[p:] = 1e3
-        got = _sup_distance(times, n0, 1.0)
+        got = _distance(times, n0, 1.0)
         assert np.float64(got).tobytes() == np.float64(1.0 - p / n0).tobytes()
         assert np.float64(got).tobytes() == np.float64(
             _stream_distance_reference(times, n0, 1.0)
@@ -867,7 +878,7 @@ def _materialised_detect(stream, n0, rates):
     distances = {}
     for h, gamma in ((Species.OR, rates.gamma_or), (Species.PA, rates.gamma_pa)):
         code = OR_CODE if h is Species.OR else PA_CODE
-        shape = _sup_distance(np.sort(np.compress(stream.species == code, stream.time)), n0, gamma)
+        shape = _distance(np.sort(np.compress(stream.species == code, stream.time)), n0, gamma)
         mass = int(np.count_nonzero(stream.species != code)) / n0
         distances[f"shape_{h.value}"] = shape
         distances[f"mass_{h.companion().value}"] = mass
@@ -1022,20 +1033,21 @@ def test_erased_view_passes_the_constant_order_column_through(analyzer_streams):
 
 def test_erased_detect_reuses_the_source_segment_summary(analyzer_streams):
     # the erased copy shares the view, and with it the kept segment ends and
-    # pa prefix: its detect neither gathers nor counts a segment again
+    # prefix table: its detect neither gathers nor counts a segment again,
+    # and each hypothesis reads its own species' row of the table
     n0, rates, _, streams = analyzer_streams
     stream = _fresh(streams["side_ordered"])
     direct = detect(stream, n0, rates)
     erased = erase_identities(stream)
     with (
         mock.patch("decaylab.analyzer._sup_distance", wraps=_sup_distance) as sup,
-        mock.patch("decaylab.analyzer._segment_ends", side_effect=AssertionError),
         mock.patch("decaylab.analyzer._prefix_sums", side_effect=AssertionError),
     ):
         blind = detect(erased, n0, rates)
-    ends, pa = _ordered(stream)[3:]
-    assert [call.args[3][0] is ends for call in sup.call_args_list] == [True, True]
-    assert [call.args[3][1] is pa for call in sup.call_args_list] == [False, True]
+    ends, prefix = _ordered(stream)[3:]
+    assert [call.args[2] for call in sup.call_args_list] == [OR_CODE, PA_CODE]
+    assert [call.args[3] is ends for call in sup.call_args_list] == [True, True]
+    assert [call.args[4].base is prefix for call in sup.call_args_list] == [True, True]
     assert _typed_bits(blind.distances.values()) == _typed_bits(direct.distances.values())
 
 
@@ -1090,7 +1102,7 @@ def test_distance_from_the_kept_summary_matches_the_compressed_times(
         return _typed_bits(product_model_distance(source, n0, h, gamma) for h in Species)
 
     times = [np.sort(np.compress(stream.species == c, stream.time)) for c in (OR_CODE, PA_CODE)]
-    want = _typed_bits(_sup_distance(t, n0, gamma) for t in times)
+    want = _typed_bits(_distance(t, n0, gamma) for t in times)
     assert want == _typed_bits(_stream_distance_reference(t, n0, gamma) for t in times)
     early = erase_identities(stream)
     assert distances(early) == want  # made before the source keeps a view: its own
@@ -1153,7 +1165,7 @@ def test_segment_bounds_read_a_quantile_stream_chunk_by_chunk(k):
     # supremum, so every segment's bound reaches it and all are read
     times = -np.log1p(-(np.arange(k) + 0.5) / k)
     with mock.patch("decaylab.analyzer._segment_gaps", wraps=_segment_gaps) as read:
-        got = _sup_distance(times, k, 1.0)
+        got = _distance(times, k, 1.0)
     read_segments = sum(call.args[1].size for call in read.call_args_list)
     assert read_segments == -(-k // _SEGMENT)
     assert read.call_count >= 1 + read_segments // (_CHUNK // _SEGMENT)

@@ -416,6 +416,9 @@ def test_histogram_rejects_bad_streams():
         histogram(crowd, [0.0, 1.0], n0=1)
     with pytest.raises(DomainError):
         histogram(crowd, [0.0, 1.0], n0=2, mode="mixed")
+    orphan = _stream([0], [1.0], [0], [0], [1])  # a second with no first
+    with pytest.raises(DataError, match="outnumber"):
+        histogram(orphan, [0.0, 2.0], n0=1)
 
 
 def test_event_stream_validation():
@@ -544,6 +547,17 @@ def test_memory_bytes_reads_the_cgroup_limit(tmp_path, proc, files, want):
         (root / rel).parent.mkdir(parents=True, exist_ok=True)
         (root / rel).write_text(text)
     assert _memory_bytes(str(proc_cgroup), str(root)) == want
+
+
+@pytest.mark.parametrize("limit", [2**20, None])
+def test_memory_bytes_without_sysconf_counts_only_the_cgroup_limit(tmp_path, limit):
+    # os.sysconf raises ValueError where the platform lacks a name it asks for
+    proc_cgroup = tmp_path / "cgroup"
+    proc_cgroup.write_text("0::/\n")
+    if limit is not None:
+        (tmp_path / "memory.max").write_text(f"{limit}\n")
+    with mock.patch("os.sysconf", side_effect=ValueError):
+        assert _memory_bytes(str(proc_cgroup), str(tmp_path)) == limit
 
 
 def test_memory_bytes_reads_its_own_limit_once(tmp_path):

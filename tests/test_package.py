@@ -154,7 +154,8 @@ VALID = {
     "w_or": AMPLITUDE,
     "w_pa": AMPLITUDE,
 }
-# parameters whose name means a column in these classes
+# parameters whose valid values depend on the call: the columns of these
+# classes, and the value an Enum looks up
 COLUMNS = {
     "EventStream": {
         "pair_id": (STREAM.pair_id, [0, 0, 1]),
@@ -173,16 +174,17 @@ COLUMNS = {
     "sample_pair": {"pair_id": (0, 3, np.int64(5))},
     "pair_substream": {"pair_id": (0, 3, np.int64(5))},
 }
+# an exported Enum is looked up by a member or a member's value
+for enum in (v for v in vars(decaylab).values() if isinstance(v, type(Enum))):
+    COLUMNS[enum.__name__] = {"value": (*enum, *(member.value for member in enum))}
 
-# Enum and exception classes are left out: a lookup by value is Python's
-# Enum protocol, whose ValueError is its contract, and an exception takes
-# any arguments
+# exception classes are left out: an exception takes any arguments
 CALLABLES = {
     name: value
     for name, value in vars(decaylab).items()
     if name in decaylab.__all__
     and callable(value)
-    and not (inspect.isclass(value) and issubclass(value, (Enum, BaseException)))
+    and not (inspect.isclass(value) and issubclass(value, BaseException))
 }
 
 
