@@ -208,6 +208,7 @@ def _pair_join(events: EventStream, n0: int) -> list:
     return sums
 
 
+@np.errstate(over="ignore")  # a sum past the float range is inf; estimate_rates refuses it
 def _join(events: EventStream) -> tuple:
     # (pair-id count, first structural error or None, then _pair_join's
     # sums).  Two passes over _BLOCK-row blocks: the first scatters each
@@ -221,7 +222,7 @@ def _join(events: EventStream) -> tuple:
     # 6 on a product stream, whose time column already is its first times.
     pid, species, time, order = events.pair_id, events.species, events.time, events.order
     n = pid.size
-    n_ids = int(pid.max()) + 1 if n else 0
+    n_ids = int(pid.max(initial=UNKNOWN_PAIR)) + 1
     if n_ids > n:
         # sparse ids, relabelled 0..k-1 so that the tables below are bounded
         # by the stream however large the ids are
@@ -256,18 +257,16 @@ def _join(events: EventStream) -> tuple:
         o, sp = order[s], species[s]
         # the second or rows, then the second pa rows, of the block
         for code, rows in enumerate((np.flatnonzero(o > sp), np.flatnonzero((o & sp).view(bool)))):
-            if not rows.size:
-                continue
             pid2 = pid[s].take(rows)
             seen[pid2] = True
             j = first_row.take(pid2)
-            orphan = orphan or j.min() < 0
+            orphan = orphan or j.min(initial=0) < 0
             same = same or bool(np.any(species.take(j) == code))
             d = delays[code][filled[code] : filled[code] + rows.size]
             filled[code] += rows.size
             np.take(time[s], rows, out=d, mode="clip")
             d -= time.take(j)
-            early = early or d.min() < 0.0
+            early = early or d.min(initial=0.0) < 0.0
     if np.count_nonzero(seen) != n_second:
         return n_ids, "a pair carries two second emissions"
     for failed, message in (
@@ -415,8 +414,8 @@ def estimate_rates(
 ) -> RateEstimates:
     """Estimate the disentangling and free rates from one stream.
 
-    Runs classify's pair checks first, so it rejects exactly the streams
-    that classify rejects, with the same errors.
+    Runs classify's pair checks first, so it rejects every stream that
+    classify rejects, with the same error.
     """
     min_pairs = _integer(min_pairs, "min_pairs")  # 0 asks for no minimum
     n_pairs, first_sum, seconds = _pair_join(events, n0)
@@ -424,16 +423,22 @@ def estimate_rates(
         raise InsufficientDataError(
             f"{n_pairs} first emissions, need at least {_quote(min_pairs)}"
         )
-    if first_sum <= 0.0:
-        raise DataError("first-emission times sum to zero")
-    gamma_t_est = n_pairs / first_sum
-    fits = [gamma_t_est, gamma_t_est / math.sqrt(n_pairs), n_pairs]
+    fits = _rate(n_pairs, first_sum, "first-emission times")
     for h, (k, total) in zip(Species, seconds):
-        if k and total <= 0.0:
-            raise DataError(f"{h.value} second-emission delays sum to zero")
-        rate = k / total if k else math.nan
-        fits += [rate, rate / math.sqrt(k) if k else math.nan, k]
+        fits += _rate(k, total, f"{h.value} second-emission delays") if k else [math.nan, math.nan, 0]
     return RateEstimates(*fits)
+
+
+def _rate(k: int, total: float, terms: str) -> list:
+    """The rate, standard error and count of k terms summing to total, as
+    RateEstimates holds them; a DataError naming the terms' sum when it is
+    zero or gives no finite nonzero rate."""
+    if total <= 0.0:
+        raise DataError(f"{terms} sum to zero")
+    rate = k / total
+    if not 0.0 < rate < math.inf:  # an inf sum gives 0, a sum below k / 1.8e308 inf
+        raise DataError(f"{terms} sum to {total!r}, which gives no finite nonzero rate")
+    return [rate, rate / math.sqrt(k), k]
 
 
 class Verdict(Enum, metaclass=_Lookup):

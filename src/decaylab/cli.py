@@ -154,12 +154,15 @@ def parse_complex(text: str) -> complex:
     s = text.strip().replace(" ", "").lower()
     if not s:
         raise ConfigError("empty complex value")
-    if "inf" in s or "nan" in s:
+    if "inf" in s or "nan" in s:  # the words; the i -> j swap below would garble "inf"
         raise ConfigError(f"complex value must be finite, got {text!r}")
     try:
-        return complex(s.replace("i", "j"))
+        number = complex(s.replace("i", "j"))
     except ValueError:
         raise ConfigError(f"cannot parse complex value {text!r}") from None
+    if not (math.isfinite(number.real) and math.isfinite(number.imag)):  # 1e400 rounds to inf
+        raise ConfigError(f"complex value must be finite, got {text!r}")
+    return number
 
 
 def format_complex(z: complex) -> str:
@@ -519,18 +522,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        _emit_error(exc)
-        return 2
-    try:
-        config = parse_config(text)
+        config = parse_config(Path(args.config).read_text(encoding="utf-8"))
         if args.out is not None:
             config = replace(config, outdir=Path(args.out))
         if args.seed is not None:
             config = replace(config, scenario=replace(config.scenario, seed=args.seed))
-    except DecayLabError as exc:
-        # Scenario rejects a bad --seed with a DomainError; it is a config error
+    except OSError as exc:
+        _emit_error(exc)
+        return 2
+    except (DecayLabError, UnicodeDecodeError) as exc:
+        # Scenario rejects a bad --seed with a DomainError, and bytes that are
+        # not UTF-8 are no config text: both are config errors
         _emit_error(ConfigError(str(exc)))
         return 3
     return run(config, quiet=args.quiet)

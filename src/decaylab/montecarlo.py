@@ -165,18 +165,18 @@ class EventStream:
                 raise DataError("event columns must have equal length")
             object.__setattr__(self, name, arr)
         # min and max carry any NaN, so no n-row mask is needed; -0.0 passes
-        lo, hi = (self.time.min(), self.time.max()) if self.time.size else (0.0, 0.0)
+        lo, hi = self.time.min(initial=0.0), self.time.max(initial=0.0)
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise DataError("event times must be finite")
         if lo < 0.0:
             raise DataError("event times must be >= 0")
-        if self.species.size and self.species.max() > PA_CODE:
+        if self.species.max(initial=0) > PA_CODE:
             raise DataError("unknown species code")
-        if self.side.size and self.side.max() > R_CODE:
+        if self.side.max(initial=0) > R_CODE:
             raise DataError("unknown side code")
-        if self.order.size and self.order.max() > UNKNOWN_CODE:
+        if self.order.max(initial=0) > UNKNOWN_CODE:
             raise DataError("unknown order code")
-        if self.pair_id.size and self.pair_id.min() < UNKNOWN_PAIR:
+        if self.pair_id.min(initial=0) < UNKNOWN_PAIR:
             raise DataError(f"pair ids must be >= 0, or {UNKNOWN_PAIR} when erased")
 
     @classmethod
@@ -210,11 +210,10 @@ class EventStream:
 
     @property
     def has_identities(self) -> bool:
-        """True when every row still carries its pair id and order tag."""
-        if len(self) == 0:
-            return True
+        """True when every row still carries its pair id and order tag, as
+        every row of an empty stream does."""
         return bool(
-            self.pair_id.min() != UNKNOWN_PAIR and self.order.max() != UNKNOWN_CODE
+            self.pair_id.min(initial=0) != UNKNOWN_PAIR and self.order.max(initial=0) != UNKNOWN_CODE
         )
 
     def sorted_by_time(self) -> "EventStream":
@@ -260,11 +259,10 @@ def _key_order(key: np.ndarray, time: np.ndarray, pair_id=None, order=None) -> n
     key &= np.uint64((1 << bits) - 1)
     rows = key.view(np.int64)
     starts = np.concatenate([np.empty(0, dtype=np.intp), *ties])
-    if starts.size:
-        pos = np.union1d(starts, starts + 1)
-        run = rows[pos]
-        keys = (time[run],) if pair_id is None else (order[run], pair_id[run], time[run])
-        rows[pos] = run[np.lexsort(keys)]
+    pos = np.union1d(starts, starts + 1)
+    run = rows[pos]
+    keys = (time[run],) if pair_id is None else (order[run], pair_id[run], time[run])
+    rows[pos] = run[np.lexsort(keys)]
     return rows
 
 
@@ -361,8 +359,7 @@ def pair_substream(seed: int, pair_id: int) -> np.random.Generator:
     seed = _integer(seed, "seed", bits=128)
     pair_id = _integer(pair_id, "pair_id")
     bit_gen = np.random.Philox(key=seed)
-    if pair_id:
-        bit_gen.advance(pair_id)
+    bit_gen.advance(pair_id)
     return np.random.Generator(bit_gen)
 
 
@@ -425,9 +422,7 @@ def sample_pair(
     return first, second
 
 
-def _thread_count(parallel: bool) -> int:
-    if not parallel:
-        return 1
+def _thread_count() -> int:
     raw = os.environ.get("DECAYLAB_THREADS", "0").strip()
     try:
         cap = int(raw)
@@ -437,7 +432,7 @@ def _thread_count(parallel: bool) -> int:
         raise ConfigError("DECAYLAB_THREADS must be >= 0")
     if cap == 0:
         cap = os.cpu_count() or 1
-    return max(1, min(cap, _MAX_THREADS))
+    return min(cap, _MAX_THREADS)
 
 
 def _memory_bytes(
@@ -506,28 +501,27 @@ def _check_memory(need: int, what: str) -> None:
 
 
 def _run_threads(work, spans, workers: int) -> None:
-    """work(span) for every span of an iterable, taken in turn by this thread
-    and workers - 1 others.  Every thread is joined; the first error one
-    raised is then raised here.  Plain threads, not concurrent.futures: that
-    and the logging it imports would slow the start of every process that
-    runs simulate in threads."""
-    todo, lock, errors = iter(spans), threading.Lock(), []
+    """work(span) for every span of a sequence, over this thread (worker 0)
+    and workers - 1 others: worker i runs the fixed share spans[i::workers]
+    and starts no further span once any worker has failed.  Every thread is
+    joined; the first error one raised is then raised here.  Plain threads,
+    not concurrent.futures: that and the logging it imports would slow the
+    start of every process that runs simulate in threads."""
+    errors = []
 
-    def worker() -> None:
-        while not errors:
-            with lock:
-                span = next(todo, None)
-            if span is None:
-                return
-            try:
+    def worker(share) -> None:
+        try:
+            for span in share:
+                if errors:
+                    return
                 work(span)
-            except BaseException as exc:  # re-raised below
-                errors.append(exc)
+        except BaseException as exc:  # re-raised below
+            errors.append(exc)
 
-    threads = [threading.Thread(target=worker) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=worker, args=(spans[i::workers],)) for i in range(1, workers)]
     for thread in threads:
         thread.start()
-    worker()
+    worker(spans[::workers])
     for thread in threads:
         thread.join()
     if errors:
@@ -573,7 +567,7 @@ def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
     """
     n0 = _instance(scenario, Scenario, "scenario").n0
     # a thread per block at most, each holding its block's draw scratch
-    workers = min(_thread_count(scenario.parallel), -(-n0 // _BLOCK))
+    workers = min(_thread_count(), -(-n0 // _BLOCK)) if scenario.parallel else 1
     scratch = workers * min(n0, _BLOCK) * _DRAW_BYTES_PER_PAIR
     _check_memory(n0 * _PEAK_BYTES_PER_PAIR + scratch, f"n0 = {n0}")
     rates = scenario.rates
@@ -598,7 +592,7 @@ def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
         _sort_keys(times[s].ravel(), rows.start, bits, keys[rows])
 
     # blocks write to disjoint slices, so scheduling order cannot matter
-    _run_threads(fill, _blocks(n0), workers)
+    _run_threads(fill, list(_blocks(n0)), workers)
 
     stream = _sorted_stream(times.ravel(), keys, codes, scenario)
     # the stream holds every draw now; free the codes before histogram counts
@@ -658,7 +652,7 @@ def histogram(
         raise DomainError(f"mode must be {ENTANGLED!r} or {PRODUCT!r}")
     if mode == ENTANGLED:
         order, species = events.order, events.species
-        if order.size and order.max() == UNKNOWN_CODE:
+        if order.max(initial=FIRST_CODE) == UNKNOWN_CODE:
             raise DataError("entangled histogram needs first/second order tags")
         n_first = order.size - int(np.count_nonzero(order))  # FIRST_CODE is 0, SECOND_CODE 1
         if n_first > n0:

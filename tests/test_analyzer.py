@@ -100,6 +100,16 @@ def test_classify_empty_stream():
         assert getattr(counts, name).tolist() == [0, 0]
 
 
+def test_detect_empty_stream():
+    empty = _stream([], [], [], [], [])
+    for source in (empty, erase_identities(empty)):
+        verdict = detect(source, 5, RS11, min_pairs=1)
+        # no photon: distance 1 from every product curve, no companion mass
+        shape = {"shape_or": 1.0, "shape_pa": 1.0, "product_or": 1.0, "product_pa": 1.0}
+        assert verdict.distances == shape | {"mass_or": 0.0, "mass_pa": 0.0}
+        assert verdict.verdict is Verdict.PRODUCT and verdict.fitted_rates is None
+
+
 def test_classify_is_order_invariant():
     stream, _ = simulate(Scenario(n0=200, rates=RateSet(1.5, 0.8, w_or=0.1), seed=31))
     grid = np.linspace(0.0, 6.0, 25)
@@ -554,6 +564,31 @@ def test_fitted_rates_rejects_zero_delay_sum():
     verdict = detect(_zero_delay_stream(), 1, RS11, min_pairs=1)
     with pytest.raises(DataError, match="delays sum to zero"):
         verdict.fitted_rates
+
+
+@pytest.mark.parametrize(
+    "t, species, order, match",
+    [
+        # two firsts whose times sum past 1.8e308: the rate would read 0
+        pytest.param([1e308, 1e308], [0, 1], [0, 0], "first-emission times sum to inf,", id="firsts"),
+        # two pa seconds 1e308 after their or firsts: the pa delays sum past it
+        pytest.param(
+            [1.0, 1.0, 1e308, 1e308], [0, 0, 1, 1], [0, 0, 1, 1],
+            "pa second-emission delays sum to inf,", id="delays",
+        ),
+        # two firsts whose times sum to a subnormal: the rate 2 / 1e-323 is inf
+        pytest.param(
+            [5e-324, 5e-324], [0, 1], [0, 0], "first-emission times sum to 1e-323,", id="subnormal"
+        ),
+    ],
+)
+def test_estimate_rates_rejects_sums_without_a_finite_rate(t, species, order, match):
+    pairs = [0, 1, 0, 1][: len(t)]
+    stream = _stream(pairs, t, species, [L_CODE] * len(t), order)
+    with pytest.raises(DataError, match=match):
+        estimate_rates(stream, 2, min_pairs=1)
+    with pytest.raises(DataError, match=match):
+        detect(stream, 2, RS11, min_pairs=1).fitted_rates
 
 
 # ---------------------------------------------------------------------------

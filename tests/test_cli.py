@@ -264,7 +264,7 @@ def test_parse_complex_values(text, value):
     assert parse_complex(text) == value
 
 
-@pytest.mark.parametrize("bad", ["", "abc", "inf", "1+nanj", "1+i+i"])
+@pytest.mark.parametrize("bad", ["", "abc", "inf", "1+nanj", "1+i+i", "1e400", "1e400i"])
 def test_parse_complex_rejects(bad):
     with pytest.raises(ConfigError):
         parse_complex(bad)
@@ -644,6 +644,42 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "FileNotFoundError"
     assert "message" in record
+
+
+def test_config_that_is_not_utf8_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(MINIMAL.encode()[:-1] + b" \xff\n")
+    assert main(["--config", str(cfg), "--quiet"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError" and "can't decode byte 0xff" in record["message"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the or delays sum past 1.8e308; the fit once read gamma_or_est 0.0
+        pytest.param(
+            "n0 = 2000\ngamma_or = 1e-306\ngamma_pa = 1.0\n",
+            "or second-emission delays sum to inf,",
+            id="delays",
+        ),
+        # the first times sum below 100 / 1.8e308; summary.json once held Infinity
+        pytest.param(
+            "n0 = 100\ngamma_or = 8.9e307\ngamma_pa = 8.9e307\nseed = 4\n",
+            "first-emission times sum to ",
+            id="firsts",
+        ),
+    ],
+)
+def test_fit_sums_without_a_finite_rate_exit_3(tmp_path, capsys, text, message):
+    code, _ = _run(tmp_path, text + "emit = montecarlo, detection\n")
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "DataError" and record["message"].startswith(message)
 
 
 def test_bad_config_exits_3(tmp_path, capsys):

@@ -267,6 +267,31 @@ def test_thread_workers_are_joined_and_the_first_error_raised():
     finally:
         sys.setswitchinterval(interval)
     assert sorted(done) == list(range(4, 2004)) and threading.active_count() == started
+    # more workers than spans: the workers past the spans have empty shares
+    done.clear()
+    _run_threads(work, [slice(i, i + 1) for i in range(4, 7)], 8)
+    assert sorted(done) == [4, 5, 6] and threading.active_count() == started
+
+
+def test_no_worker_starts_a_span_after_one_failed():
+    # the other worker fails its first span once this thread has started its
+    # own, which returns only after the other worker has exited: the failure
+    # is recorded before this thread could start its next span
+    before = set(threading.enumerate())
+    running, done = threading.Event(), []
+
+    def work(span):
+        if span.start == 1:  # the other worker's first span
+            running.wait(10)
+            raise DomainError("span 1")
+        running.set()
+        for thread in set(threading.enumerate()) - before:
+            thread.join()
+        done.append(span.start)
+
+    with pytest.raises(DomainError, match="span 1"):
+        _run_threads(work, [slice(i, i + 1) for i in range(10)], 2)
+    assert done == [0]
 
 
 def test_simulate_counts_each_workers_draw_block(monkeypatch):
@@ -387,6 +412,7 @@ def test_histogram_hand_case():
 
 def test_histogram_empty_stream():
     empty = _stream([], [], [], [], [])
+    assert empty.has_identities and len(empty.sorted_by_time()) == 0
     curve = histogram(empty, [0.0, 1.0, 2.0], n0=7)
     assert curve.n.tolist() == [7, 7, 7]
     assert curve.N_or.tolist() == [0, 0, 0]
