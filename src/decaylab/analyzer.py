@@ -92,8 +92,9 @@ _SEGMENT = 128
 # rows per chunk of refined segments in detect and of segments read by
 # classify: 256 KB of float64
 _CHUNK = 1 << 15
-# added to a segment's bound before it is compared with an exact gap: far
-# above the few ulps by which rounding can move a computed model value
+# the slack by which a segment's bound may fall short of an exact gap and
+# the segment still be read: far above the few ulps by which rounding can
+# move a computed model value
 _MARGIN = 1e-9
 
 
@@ -155,16 +156,20 @@ def _ordered(events: EventStream) -> tuple:
     return memo["_ordered"]
 
 
-def _prefix_sums(codes: np.ndarray) -> np.ndarray:
-    """The 0/1 codes summed before each _SEGMENT-row segment, then in all:
-    read-only int64, one longer than the segments.  uint16 sums are exact in
-    a segment, and a sum over an axis casts in buffers, with no column copy."""
-    whole, rest = divmod(codes.size, _SEGMENT)
-    prefix = np.zeros(whole + bool(rest) + 1, dtype=np.int64)
-    sums = codes[: whole * _SEGMENT].reshape(whole, _SEGMENT).sum(axis=1, dtype=np.uint16)
-    np.cumsum(sums, dtype=np.int64, out=prefix[1 : whole + 1])
-    if rest:
-        prefix[-1] = prefix[-2] + codes[whole * _SEGMENT :].sum(dtype=np.int64)
+def _prefix_sums(codes: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """The 0/1 codes, ANDed with mask's when it is given, summed before each
+    _SEGMENT-row segment, then in all: read-only int64, one longer than the
+    segments.  One np.add.reduceat per _CHUNK rows sums their segments,
+    exact in uint8, so the AND needs no temporary longer than a block."""
+    prefix = np.zeros(-(-codes.size // _SEGMENT) + 1, dtype=np.int64)
+    for lo in range(0, codes.size, _CHUNK):
+        block = codes[lo : lo + _CHUNK]
+        if mask is not None:
+            block = block & mask[lo : lo + _CHUNK]
+        firsts = np.arange(0, block.size, _SEGMENT)
+        k = 1 + lo // _SEGMENT
+        np.add.reduceat(block, firsts, dtype=np.uint8, out=prefix[k : k + firsts.size])
+    np.cumsum(prefix, out=prefix)
     prefix.flags.writeable = False
     return prefix
 
@@ -178,7 +183,7 @@ def _tallies(events: EventStream) -> tuple:
     memo = vars(events)
     if "_tallies" not in memo:
         _, species, order, _, prefix = _ordered(events)
-        memo["_tallies"] = prefix[PA_CODE], _prefix_sums(order), _prefix_sums(species & order)
+        memo["_tallies"] = prefix[PA_CODE], _prefix_sums(order), _prefix_sums(species, order)
     return memo["_tallies"]
 
 
@@ -297,45 +302,43 @@ def _tally_counts(events: EventStream, grid: np.ndarray) -> tuple:
     """Rows of each category (first or, first pa, second or, second pa) at
     or before each grid point, from the kept prefixes.
 
-    A grid point's edge e, the rows of the time-ordered view at or before
-    it, lies in segment s = (e - 1) // _SEGMENT (0 when e = 0): the kept
-    prefixes give the rows before s, and a running sum over the rows of s,
-    gathered by _segment_rows, the rows of s before e.  Each distinct
-    segment is gathered once, _CHUNK // _SEGMENT of them at a time, so no
-    temporary has more than a few words per grid point or row gathered.
+    A grid point's edge e counts the rows of the time-ordered view at or
+    before it.  Below the row count it lies in segment s = e // _SEGMENT:
+    the kept prefixes give the rows before s, and the r = e % _SEGMENT rows
+    of s before e are the even sums of one np.add.reduceat per code over
+    interleaved (start, start + r) rows gathered by _segment_rows, exact in
+    uint8 and all inside the gathered rows; reduceat reads a[start] where
+    r = 0, so nothing is added there.  Each distinct segment is gathered
+    once, _CHUNK // _SEGMENT of them at a time, so no temporary has more
+    than a few words per grid point or row gathered.
     """
     time, species, order, *_ = _ordered(events)
     edges = np.searchsorted(time, grid, side="right")
-    # pa, second and second pa rows; the grid ascends, and so do the segments
-    counts = np.empty((3, grid.size), dtype=np.int64)
-    seg = np.maximum(edges - 1, 0) // _SEGMENT
+    tallies = _tallies(events)
+    # pa, second and second pa rows, each at its total until a segment is read
+    counts = np.stack([np.full(grid.size, prefix[-1]) for prefix in tallies])
+    # the grid ascends, and so do the segments of the points before the last row
+    seg = edges[: np.searchsorted(edges, time.size)] // _SEGMENT
     # the distinct segments, by a mask, not np.unique's sorted copy
     new = np.ones(seg.size, dtype=bool)
     np.not_equal(seg[1:], seg[:-1], out=new[1:])
     distinct = seg[new]
     step = _CHUNK // _SEGMENT
-    # a running sum of one code over a chunk's gathered rows, after a 0
-    running = np.zeros(min(distinct.size, step) * _SEGMENT + 1, dtype=np.int64)
     for c in range(0, distinct.size, step):
         segs = distinct[c : c + step]
         p0 = np.searchsorted(seg, segs[0], side="left")
         p1 = np.searchsorted(seg, segs[-1], side="right")
-        # each point's segment's first row among the gathered rows, then its
-        # edge's place among them
-        start = np.searchsorted(segs, seg[p0:p1]) * _SEGMENT
-        at = start + edges[p0:p1] - seg[p0:p1] * _SEGMENT
+        # each point's segment's first gathered row, and its rows before its edge
+        start, r = np.searchsorted(segs, seg[p0:p1]) * _SEGMENT, edges[p0:p1] % _SEGMENT
+        pairs = np.column_stack((start, start + r)).ravel()
         sp, od = _segment_rows(species, segs), _segment_rows(order, segs)
-        for row, codes, prefix in zip(counts[:, p0:p1], (sp, od, sp & od), _tallies(events)):
-            np.cumsum(codes, dtype=np.int64, out=running[1 : codes.size + 1])
-            np.take(running, at, out=row)
-            row -= running.take(start)
-            row += prefix.take(seg[p0:p1])
+        for row, codes, prefix in zip(counts[:, p0:p1], (sp, od, sp & od), tallies):
+            np.take(prefix, seg[p0:p1], out=row)
+            np.add(row, np.add.reduceat(codes, pairs, dtype=np.uint8)[::2], out=row, where=r > 0)
     pa, second, both = counts
     pa -= both  # first pa
     second -= both  # second or
-    edges -= pa  # first or, what is left of the rows
-    edges -= second
-    edges -= both
+    edges -= pa + second + both  # first or, what is left of the rows
     return edges, pa, second, both
 
 
@@ -351,15 +354,7 @@ def reconstruct(counts: ClassifiedCounts) -> PopulationCurve:
     n_pa = counts.n1_or - counts.n2_pa
     if np.any(n_or < 0) or np.any(n_pa < 0):
         raise DataError("second emissions outnumber their feeding firsts")
-    return PopulationCurve(
-        grid=counts.grid,
-        n=n,
-        n_or=n_or,
-        n_pa=n_pa,
-        N_or=counts.n1_or + counts.n2_or,
-        N_pa=counts.n1_pa + counts.n2_pa,
-        n0=n0,
-    )
+    return PopulationCurve(counts.grid, n, n_or, n_pa, *map(counts.photons, Species), n0)
 
 
 def erase_identities(events: EventStream) -> EventStream:
@@ -499,8 +494,8 @@ def _sup_distance(time, species, code, ends, prefix, n0: float, gamma: float) ->
     t -> infinity tail.  Inside a segment the model lies between its values
     at the segment's two ends, and the levels between the counts before and
     after the segment, which bounds every gap in it.  Segments
-    are read, a chunk at a time, only while their bound plus _MARGIN reaches
-    the largest exact gap found; those gaps run the same ufuncs on the same
+    are read, a chunk at a time, only while their bound reaches the largest
+    exact gap found, less _MARGIN; those gaps run the same ufuncs on the same
     operands as a full evaluation, and max is exact, so no bit moves.
     """
     k = int(prefix[-1])
@@ -508,9 +503,8 @@ def _sup_distance(time, species, code, ends, prefix, n0: float, gamma: float) ->
     before = after = np.float64(0.0)
     tail = abs(k / n0 - 1.0)
     if k:
-        # the levels before and after each segment, exact below 2**53
-        levels = prefix.astype(float)
-        levels /= n0
+        # the levels before and after each segment; the cast is exact below 2**53
+        levels = prefix / n0
         model = _model(ends, gamma)
         bound = model[1:] - levels[:-1]
         np.subtract(levels[1:], model[:-1], out=model[:-1])
@@ -523,7 +517,10 @@ def _sup_distance(time, species, code, ends, prefix, n0: float, gamma: float) ->
             before, after = np.maximum(before, gaps[0]), np.maximum(after, gaps[1])
             best = max(best, *gaps)
             bound[todo] = -np.inf
-            todo = np.flatnonzero(bound + _MARGIN >= best)[: _CHUNK // _SEGMENT]
+            # a gap that can reach the supremum is at least best and at most
+            # a few ulps above its segment's bound, so that segment is read;
+            # the others' gaps are below best, so the max is unchanged
+            todo = np.flatnonzero(bound >= best - _MARGIN)[: _CHUNK // _SEGMENT]
     # with no times the tail, 1.0, is the distance
     return max(before, after, tail)
 
@@ -590,7 +587,8 @@ def detect(
     or a PopulationCurve.  reference supplies the calibrated free rates that
     parameterise the product hypotheses.  The verdict is Entangled above
     1.2 * threshold, Product below 0.8 * threshold, and Inconclusive inside
-    the band or when fewer than min_pairs pairs were prepared.  ENTANGLED
+    the band, when fewer than min_pairs pairs were prepared, or when the
+    source holds no photon of either species ("no photons").  ENTANGLED
     means that both species were emitted; it does not test the rate shift
     lambda = gamma_t - gamma_or - gamma_pa != 0, so or and pa product atoms
     merged at W = 0 (lambda = 0) are ENTANGLED too.  A gridded source takes
@@ -620,6 +618,8 @@ def detect(
 
     if n0 < min_pairs:
         verdict, reason = Verdict.INCONCLUSIVE, f"sample size {n0:g} below minimum {_quote(min_pairs)}"
+    elif not (distances["mass_or"] or distances["mass_pa"]):
+        verdict, reason = Verdict.INCONCLUSIVE, "no photons"
     elif statistic > 1.2 * threshold:
         verdict, reason = Verdict.ENTANGLED, ""
     elif statistic < 0.8 * threshold:

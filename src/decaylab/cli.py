@@ -276,16 +276,20 @@ def parse_config(text: str) -> RunConfig:
 def _spill(text: np.ndarray, outside: np.ndarray, values, fmt: bytes) -> None:
     """fmt % v by Python for each value outside the tables' range, written
     into its words zero-padded (no field reaches a block's separator cell)."""
-    fields = [fmt % value for value in values[outside].tolist()]
-    words = text.shape[-1]
-    text[outside] = np.array(fields, f"S{8 * words}").view(np.uint64).reshape(-1, words)
+    rows = np.flatnonzero(outside)
+    if rows.size:
+        fields = [fmt % value for value in values[rows].tolist()]
+        words = text.shape[-1]
+        text[rows] = np.array(fields, f"S{8 * words}").view(np.uint64).reshape(-1, words)
 
 
 def _groups(n: np.ndarray, count: int) -> np.ndarray:
-    """The count base-10**4 digits of n, leading first; n is overwritten."""
+    """The count base-10**4 digits of n, leading first."""
     groups = np.empty(n.shape + (count,), np.int64)
     for i in range(count - 1, 0, -1):
-        np.divmod(n, 10**4, out=(n, groups[..., i]))
+        high = n // 10**4
+        np.subtract(n, high * 10**4, out=groups[..., i])
+        n = high
     groups[..., 0] = n
     return groups
 
@@ -354,7 +358,7 @@ def _write_rows(path: Path, header: str, columns) -> None:
                 fill(values[lo : lo + m], text[:m, start:stop])
             raw[:m, ends] = ord(",")
             raw[:m, -1] = ord("\n")
-            fh.write(np.compress(raw[:m].ravel() != 0, raw[:m].ravel()).tobytes())
+            fh.write(raw[:m].tobytes().translate(None, b"\0"))  # drop the zero padding
 
 
 def write_curve_csv(path: Path, curve) -> None:

@@ -66,10 +66,13 @@ __all__ = [
 # relative |gamma_t - gamma_h| below which the confluent branch is used
 DEGENERATE_EPS = 1e-8
 
-# bisection defaults: bracket growth cap and interval tolerance, both relative
-# to the slowest characteristic time of the problem
+# bisection defaults: the bracket growth cap, relative to the slowest
+# characteristic time of the problem, and the interval tolerance, relative to
+# the fastest, near which the root can lie
 _BRACKET_CAP = 1e3
 _BISECT_RTOL = 1e-12
+# the largest |survival(tau) - 1/e| that lifetime_report returns
+_RESIDUAL_BOUND = 1e-9
 
 
 def _maybe_scalar(values: np.ndarray, t) -> np.ndarray | float:
@@ -232,14 +235,16 @@ def lifetime_species(
     bisecting.  The bracket is capped at 1e3 times the slowest characteristic
     time; survival still above 1/e there signals pathological rates and
     raises SolverError.  tol, the width at which bisection stops, defaults
-    to 1e-12 of that time and must be finite and > 0.
+    to 1e-12 of the fastest characteristic time, min(1/gamma_h, 1/gamma_t),
+    and must be finite and > 0.
     """
     er = derive_rates(rates) if er is None else _instance(er, EntangledRates, "er")
     gamma_h = _instance(rates, RateSet, "rates").gamma(h)
     if er.gamma_t <= 0.0:
         raise DomainError("gamma_t must be positive for a finite lifetime")
     scale = max(1.0 / gamma_h, 1.0 / er.gamma_t)
-    tol = _BISECT_RTOL * scale if tol is None else _real(tol, "tol")
+    fast = min(1.0 / gamma_h, 1.0 / er.gamma_t)
+    tol = _BISECT_RTOL * fast if tol is None else _real(tol, "tol")
     target = math.exp(-1.0)
 
     def excess(tau: float) -> float:
@@ -270,7 +275,7 @@ class LifetimeReport:
     """Free, entangled-state, and per-species 1/e lifetimes of a preparation.
 
     solver_residual is |survival(tau) - 1/e| at the worse of the two
-    transcendental roots.
+    transcendental roots, at most 1e-9.
     """
 
     tau_or: float
@@ -282,7 +287,11 @@ class LifetimeReport:
 
 
 def lifetime_report(rates: RateSet, tol: float | None = None) -> LifetimeReport:
-    """Collect every lifetime of a preparation in one report."""
+    """Collect every lifetime of a preparation in one report.
+
+    Raises SolverError when a root's residual |survival(tau) - 1/e| exceeds
+    1e-9, as a tol too coarse for the rates would leave it.
+    """
     er = derive_rates(rates)
     tau_or = lifetime_species(Species.OR, rates, er, tol)
     tau_pa = lifetime_species(Species.PA, rates, er, tol)
@@ -291,6 +300,8 @@ def lifetime_report(rates: RateSet, tol: float | None = None) -> LifetimeReport:
         abs(float(species_survival_fraction(tau_or, Species.OR, rates, er)) - target),
         abs(float(species_survival_fraction(tau_pa, Species.PA, rates, er)) - target),
     )
+    if not residual <= _RESIDUAL_BOUND:
+        raise SolverError(f"lifetime solver residual {residual:g} exceeds {_RESIDUAL_BOUND:g}")
     return LifetimeReport(
         tau_or=1.0 / rates.gamma_or,
         tau_pa=1.0 / rates.gamma_pa,

@@ -22,6 +22,7 @@ from decaylab import (
     EntangledRates,
     EventStream,
     InsufficientDataError,
+    PopulationCurve,
     RateSet,
     Scenario,
     Species,
@@ -107,7 +108,23 @@ def test_detect_empty_stream():
         # no photon: distance 1 from every product curve, no companion mass
         shape = {"shape_or": 1.0, "shape_pa": 1.0, "product_or": 1.0, "product_pa": 1.0}
         assert verdict.distances == shape | {"mass_or": 0.0, "mass_pa": 0.0}
-        assert verdict.verdict is Verdict.PRODUCT and verdict.fitted_rates is None
+        assert verdict.verdict is Verdict.INCONCLUSIVE and verdict.reason == "no photons"
+        assert verdict.fitted_rates is None
+
+
+@pytest.mark.parametrize("n0", [5, 1000])
+def test_detect_no_photons_is_inconclusive(n0):
+    # an empty record once read ENTANGLED at n0 = 1000 and PRODUCT at n0 = 5
+    empty = _stream([], [], [], [], [])
+    zeros = np.zeros(3, np.int64)
+    grid = [0.0, 1.0, 2.0]
+    counts = ClassifiedCounts(grid, zeros, zeros, zeros, zeros, n0=n0)
+    curve = PopulationCurve(grid, np.full(3, n0), *[np.zeros(3)] * 4, n0)
+    for source in (empty, erase_identities(empty), counts, curve):
+        verdict = detect(source, n0, RS11, min_pairs=1)
+        assert verdict.verdict is Verdict.INCONCLUSIVE and verdict.reason == "no photons"
+    # the sample-size rule comes first
+    assert detect(empty, n0, RS11, min_pairs=n0 + 1).reason.startswith("sample size")
 
 
 def test_classify_is_order_invariant():
@@ -1269,7 +1286,7 @@ def _tally_case(seed, rows, ordering, step):
     return EventStream(*(c[by] for c in columns)), max(pairs, 1)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
     # about a segment, and enough segments for several chunks of them
@@ -1279,22 +1296,55 @@ def _tally_case(seed, rows, ordering, step):
     st.integers(1, 700),
     st.floats(0.0, 1.0),
     st.sampled_from([1 / 8, 2**-13]),
+    st.sampled_from(["lattice", "edges", "one segment"]),
 )
 # grid points in over 2 * _CHUNK // _SEGMENT distinct segments: three chunks
-@example(7, 2 * _CHUNK + _SEGMENT + 3, "side", 700, 0.5, 2**-13)
-def test_classify_counts_match_a_brute_force_count(seed, rows, ordering, points, tied, step):
+@example(7, 2 * _CHUNK + _SEGMENT + 3, "side", 700, 0.5, 2**-13, "lattice")
+@example(11, 2 * _CHUNK + _SEGMENT + 3, "shuffled", 1, 0.0, 2**-13, "edges")
+@example(12, 2 * _CHUNK + _SEGMENT + 3, "time", 1, 0.0, 1 / 8, "one segment")
+def test_classify_counts_match_a_brute_force_count(seed, rows, ordering, points, tied, step, kind):
     stream, n0 = _tally_case(seed, rows, ordering, step)
     rng = np.random.default_rng(seed + 1)
-    # grid points on the lattice, tied with event times, and between and past them
-    lattice = rng.integers(0, round(8 / step), points) * step
-    between = rng.uniform(0.0, 8.0, points)
-    grid = np.unique(np.where(rng.random(points) < tied, lattice, between))
+    t = np.sort(stream.time)
+    if kind == "lattice" or not rows:
+        # grid points on the lattice, tied with event times, and between and past them
+        lattice = rng.integers(0, round(8 / step), points) * step
+        between = rng.uniform(0.0, 8.0, points)
+        grid = np.unique(np.where(rng.random(points) < tied, lattice, between))
+    elif kind == "edges":
+        # 0, before the first and after the last time, the time that ends
+        # each whole segment and a point past it (edges on multiples of
+        # _SEGMENT rows unless a tie runs on), and the short last segment's times
+        ends = np.arange(_SEGMENT, rows, _SEGMENT)
+        past = (t[ends - 1] + t[ends]) / 2
+        grid = np.unique(np.r_[0.0, t[0] / 2, t[ends - 1], past, t[-1] + 1.0, t[rows - rows % _SEGMENT :]])
+    else:
+        # every point inside one segment: its event times and points between them
+        inside = t[_SEGMENT * int(rng.integers(0, -(-rows // _SEGMENT))) :][:_SEGMENT]
+        grid = np.unique(np.r_[inside[:-1], rng.uniform(inside[0], inside[-1], 20)])
     counts = classify(stream, grid, n0)
     got = [counts.n1_or, counts.n1_pa, counts.n2_or, counts.n2_pa]
     code = stream.order.astype(int) << 1 | stream.species
     for c, have in enumerate(got):
         want = [np.count_nonzero((stream.time <= g) & (code == c)) for g in grid]
         assert have.dtype == np.int64 and have.tolist() == want
+
+
+@pytest.mark.parametrize("k", [5 * _SEGMENT + 3, 2**15 + 1])
+@pytest.mark.parametrize("decimals", [1, 2])
+def test_tie_heavy_distance_matches_the_full_evaluation(k, decimals):
+    # quantile times on a coarse lattice: runs of one time fill whole
+    # segments, whose bounds then equal their exact gaps, and in most cases
+    # the supremum lies outside the segment read first, so the selection of
+    # further segments decides the result
+    times = np.round(-np.log1p(-(np.arange(k) + 0.5) / k), decimals)
+    stream = EventStream(
+        np.full(k, -1), times, np.full(k, OR_CODE), np.zeros(k, int), np.full(k, UNKNOWN_CODE)
+    )
+    for n0 in (k, k + 1, 2 * k):
+        for gamma in (0.9, 1.0, 1.1):
+            got = product_model_distance(stream, n0, Species.OR, gamma)
+            assert _typed_bits([got]) == _typed_bits([_stream_distance_reference(times, n0, gamma)])
 
 
 def test_detect_on_a_time_ordered_stream_copies_no_column(million_pair_streams):
@@ -1337,6 +1387,25 @@ def test_classify_counts_without_row_lists(million_pair_streams):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("name", ["time_ordered", "side_ordered"])
+def test_first_classify_after_the_view_holds_block_scratch(million_pair_streams, name):
+    # the second pa prefix once ANDed the species and order columns whole,
+    # 2.0 of a 2.4 MB peak at 1e6 pairs; a warm classify once kept a running
+    # int64 sum of the gathered rows
+    n0, rates, grid, streams = million_pair_streams
+    stream = _fresh(streams[name])
+    estimate_rates(stream, n0)  # the pair join
+    detect(stream, n0, rates)  # the time-ordered view
+    for bound in (2**19, 2**18):  # the first classify, then a warm one
+        tracemalloc.start()
+        try:
+            classify(stream, grid, n0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def test_detect_stream_n0_must_be_whole():
