@@ -2,7 +2,8 @@
 as the caller computes with it, or raises a DomainError (_exact: the error
 the caller names) whose message starts with the argument's name, which
 parse_config reads to point a config error at its line.  _Lookup is the
-rule of the package's Enums."""
+rule of the package's Enums; _number is the one conversion of _real and
+_complex."""
 
 from __future__ import annotations
 
@@ -48,16 +49,22 @@ def _instance(value, kinds, name: str):
     return value
 
 
+def _number(value, kind: type, convert: type):
+    """convert(value) when value is a kind number and not a bool, convert(inf)
+    when it is an integer beyond the float range, else convert(nan)."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        try:
+            return convert(value)
+        except OverflowError:
+            return convert(math.inf)
+    return convert(math.nan)
+
+
 def _real(value, name: str, least: float = 0.0, strict: bool = True) -> float:
     """value as a float; a DomainError starting with name unless it is a
     real number (an integer beyond the float range reads as inf), finite
     and > least (>= least unless strict)."""
-    number = math.nan
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
+    number = _number(value, numbers.Real, float)
     if not (number > least or not strict and number == least) or number == math.inf:
         bound = f"{'>' if strict else '>='} {least:g}"
         raise DomainError(f"{name} must be a finite real number and must be {bound}, got {_quote(value)}")
@@ -67,12 +74,7 @@ def _real(value, name: str, least: float = 0.0, strict: bool = True) -> float:
 def _complex(value, name: str) -> complex:
     """value as a complex; a DomainError starting with name unless it is a
     number with finite real and imaginary parts."""
-    number = complex(math.nan)
-    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
-        try:
-            number = complex(value)
-        except OverflowError:  # an integer beyond the float range
-            number = complex(math.inf)
+    number = _number(value, numbers.Complex, complex)
     if not (math.isfinite(number.real) and math.isfinite(number.imag)):
         raise DomainError(f"{name} must be a finite number, got {_quote(value)}")
     return number

@@ -143,11 +143,8 @@ def _ordered(events: EventStream) -> tuple:
     if "_ordered" not in memo:
         time, species, order = events.time, events.species, events.order
         if not _nondecreasing(time):
-            # an erased order column is one value at stride 0, in any order
-            if order.strides == (0,):
-                time, species = _time_order(time, (species,))
-            else:
-                time, species, order = _time_order(time, (species, order))
+            # an erased order column, one value at stride 0, comes back as it is
+            time, species, order = _time_order(time, (species, order))
         pa = _prefix_sums(species)
         # rows OR_CODE (0) and PA_CODE (1): the rows that are not pa are or
         prefix = np.stack((np.minimum(np.arange(pa.size) * _SEGMENT, time.size) - pa, pa))
@@ -608,8 +605,11 @@ def detect(
     _instance(reference, RateSet, "reference")
 
     distances: dict[str, float] = {}
-    for h, gamma in ((Species.OR, reference.gamma_or), (Species.PA, reference.gamma_pa)):
-        shape = product_model_distance(source, n0, h, gamma)
+    for h in Species:
+        # a model exponent t * -gamma past the float range is -inf, whose
+        # expm1, -1, is exact
+        with np.errstate(over="ignore"):
+            shape = product_model_distance(source, n0, h, reference.gamma(h))
         mass = _companion_mass(source, h.companion(), n0)
         distances[f"shape_{h.value}"] = shape
         distances[f"mass_{h.companion().value}"] = mass

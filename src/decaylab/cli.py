@@ -421,14 +421,12 @@ def _run_stages(config: RunConfig, quiet: bool) -> None:
     summary["rates"]["lambda"] = summary["rates"].pop("lam")
     summary["rates"]["lambda_unweighted"] = lambda_unweighted(rates)
     warnings = []
-    for name, free, modified in (
-        ("or", rates.gamma_or, er.gamma_t_or),
-        ("pa", rates.gamma_pa, er.gamma_t_pa),
-    ):
-        if modified > WARN_RATE_FACTOR * free:
+    for h in Species:
+        modified = er.species_rate(h)
+        if modified > WARN_RATE_FACTOR * rates.gamma(h):
             warnings.append(
-                f"gamma_t_{name} = {modified:g} exceeds {WARN_RATE_FACTOR:g} x "
-                f"gamma_{name}; check the W values"
+                f"gamma_t_{h.value} = {modified:g} exceeds {WARN_RATE_FACTOR:g} x "
+                f"gamma_{h.value}; check the W values"
             )
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)

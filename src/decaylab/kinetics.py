@@ -187,18 +187,13 @@ def evaluate_curve(scenario, grid=None) -> PopulationCurve:
     if scenario.is_entangled:
         er = derive_rates(rates)
         n = n_entangled(grid, n0, er)
-        n_or = n_single(grid, Species.OR, n0, rates, er)
-        n_pa = n_single(grid, Species.PA, n0, rates, er)
-        N_or = np.maximum(n0 - n - n_or, 0.0)
-        N_pa = np.maximum(n0 - n - n_pa, 0.0)
-        return PopulationCurve(grid, n, n_or, n_pa, N_or, N_pa, n0)
+        survivors = [n_single(grid, h, n0, rates, er) for h in Species]
+        photons = [np.maximum(n0 - n - n_h, 0.0) for n_h in survivors]
+        return PopulationCurve(grid, n, *survivors, *photons, n0)
     h = scenario.product_species
     n = product_population(grid, h, n0, rates)
-    N_h = n0 - n
-    z1, z2, z3 = (np.zeros_like(grid) for _ in range(3))
-    if h is Species.OR:
-        return PopulationCurve(grid, n, z1, z2, N_h, z3, n0)
-    return PopulationCurve(grid, n, z1, z2, z3, N_h, n0)
+    photons = [n0 - n if s is h else np.zeros_like(grid) for s in Species]
+    return PopulationCurve(grid, n, *np.zeros((2, grid.size)), *photons, n0)
 
 
 def conservation_residual(curve: PopulationCurve, entangled: bool = True) -> float:
@@ -293,20 +288,13 @@ def lifetime_report(rates: RateSet, tol: float | None = None) -> LifetimeReport:
     1e-9, as a tol too coarse for the rates would leave it.
     """
     er = derive_rates(rates)
-    tau_or = lifetime_species(Species.OR, rates, er, tol)
-    tau_pa = lifetime_species(Species.PA, rates, er, tol)
+    taus = [lifetime_species(h, rates, er, tol) for h in Species]
     target = math.exp(-1.0)
     residual = max(
-        abs(float(species_survival_fraction(tau_or, Species.OR, rates, er)) - target),
-        abs(float(species_survival_fraction(tau_pa, Species.PA, rates, er)) - target),
+        abs(float(species_survival_fraction(tau, h, rates, er)) - target) for h, tau in zip(Species, taus)
     )
     if not residual <= _RESIDUAL_BOUND:
         raise SolverError(f"lifetime solver residual {residual:g} exceeds {_RESIDUAL_BOUND:g}")
-    return LifetimeReport(
-        tau_or=1.0 / rates.gamma_or,
-        tau_pa=1.0 / rates.gamma_pa,
-        tau_tilde_state=1.0 / er.gamma_t,
-        tau_tilde_or=tau_or,
-        tau_tilde_pa=tau_pa,
-        solver_residual=residual,
-    )
+    # the fields in order: free, entangled-state, per-species entangled
+    free = (1.0 / rates.gamma(h) for h in Species)
+    return LifetimeReport(*free, 1.0 / er.gamma_t, *taus, solver_residual=residual)

@@ -90,6 +90,10 @@ _DRAW_BYTES_PER_PAIR = 40
 # chunk buffers weigh more; 168 keeps ~10% headroom at scale.
 _PEAK_BYTES_PER_POINT = 168
 
+# the longest exponential draw of _draw, -log1p(-u) at the largest uniform
+# u = 1 - 2**-53: 53 ln 2, in units of the lifetime of its rate
+_LONGEST_DRAW = float(-np.log1p(-np.nextafter(1.0, 0.0)))
+
 
 class Side(Enum, metaclass=_Lookup):
     """Which side of the apparatus a photon left through."""
@@ -155,7 +159,9 @@ class EventStream:
         )
         n = None
         for name, dtype in casts:
-            arr = np.ascontiguousarray(_exact(getattr(self, name), dtype, name, DataError)).view()
+            arr = _exact(getattr(self, name), dtype, name, DataError)
+            # a stride-0 column is one value (erase_identities'), kept uncopied
+            arr = (arr if arr.strides == (0,) else np.ascontiguousarray(arr)).view()
             arr.flags.writeable = False
             if arr.ndim != 1:
                 raise DataError(f"{name} must be 1-d")
@@ -217,6 +223,10 @@ class EventStream:
         )
 
     def sorted_by_time(self) -> "EventStream":
+        """The stream with its rows in np.lexsort((order, pair_id, time))
+        order: by time, exact ties by pair id, then by order tag.  Rows laid
+        out all firsts, then all seconds, so come back in simulate's order,
+        which breaks ties the same way."""
         columns = self.pair_id, self.species, self.side, self.order
         time, pair_id, species, side, order = _time_order(
             self.time, columns, self.pair_id, self.order
@@ -268,7 +278,8 @@ def _key_order(key: np.ndarray, time: np.ndarray, pair_id=None, order=None) -> n
 
 def _time_order(time: np.ndarray, columns=(), pair_id=None, order=None) -> tuple:
     """time, then each of columns, in the row order np.lexsort((order,
-    pair_id, time)).
+    pair_id, time)); a stride-0 column, one value in any order, is returned
+    as it is, ungathered.
 
     Times must be non-negative, as EventStream and simulate guarantee: their
     bit patterns then order like the values, so one value sort of 64-bit
@@ -283,12 +294,14 @@ def _time_order(time: np.ndarray, columns=(), pair_id=None, order=None) -> tuple
     for s in _blocks(time.size):
         _sort_keys(time[s], s.start, bits, key[s])
     rows = _key_order(key, time, pair_id, order)
-    ordered = rows.view(np.float64), *(np.empty(time.size, dtype=c.dtype) for c in columns)
+    outs = (c if c.strides == (0,) else np.empty(time.size, dtype=c.dtype) for c in columns)
+    ordered = rows.view(np.float64), *outs
     for s in _blocks(time.size):
         # a permutation's rows are in range: mode="clip" skips a buffered copy
         r = rows[s].copy()
         for column, out in zip((time, *columns), ordered):
-            column.take(r, out=out[s], mode="clip")
+            if out is not column:
+                column.take(r, out=out[s], mode="clip")
     return ordered
 
 
@@ -382,12 +395,28 @@ def _draw(u: np.ndarray, out: np.ndarray, gamma: float, p_or=None, survivor=None
     return pa | right << 1
 
 
+def _finite_draws(*rates: tuple[str, float]) -> None:
+    """A DomainError naming the smallest of the (name, rate) pairs when the
+    longest draws of emissions at those rates, one after another, add up
+    past the float range: the time of the last would be inf."""
+    if math.isinf(sum(_LONGEST_DRAW / rate for _, rate in rates)):
+        name, rate = min(rates, key=lambda named: named[1])
+        raise DomainError(f"{name} is too small: an emission time drawn at {name} = {rate:g} can overflow")
+
+
 def _entangled_rates(rates: RateSet, er: EntangledRates) -> tuple:
     """_draw's gamma, p_or and survivor rates for an entangled pair; a
-    NoDecayError when the pair never emits."""
+    NoDecayError when the pair never emits, a DomainError (_finite_draws)
+    when a first emission or the survivor's after it can overflow."""
     if er.gamma_t <= 0.0:
         raise NoDecayError("gamma_t = 0: entangled pairs never emit")
-    return er.gamma_t, er.gamma_t_or / er.gamma_t, (rates.gamma_pa, rates.gamma_or)
+    # a first h photon, drawn only when its rate is not 0, leaves a lone
+    # companion atom to decay at its own free rate
+    survivor = tuple(rates.gamma(h.companion()) for h in Species)
+    for h, rate in zip(Species, survivor):
+        if er.species_rate(h) > 0.0:
+            _finite_draws(("gamma_t", er.gamma_t), (f"gamma_{h.companion().value}", rate))
+    return er.gamma_t, er.gamma_t_or / er.gamma_t, survivor
 
 
 def sample_pair(
@@ -563,7 +592,8 @@ def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
     The stream contains all events, including those past t_max; the returned
     curve tabulates exact integer counts on the scenario grid.  Raises
     DomainError up front when n0 pairs would not fit in physical memory or
-    under the process's cgroup memory limit.
+    under the process's cgroup memory limit, and when a rate is so small
+    that a drawn emission time could overflow to inf.
     """
     n0 = _instance(scenario, Scenario, "scenario").n0
     # a thread per block at most, each holding its block's draw scratch
@@ -575,6 +605,7 @@ def simulate(scenario: Scenario) -> tuple[EventStream, PopulationCurve]:
         kernel_rates = _entangled_rates(rates, derive_rates(rates))
     else:
         kernel_rates = (rates.gamma(scenario.product_species),)
+        _finite_draws((f"gamma_{scenario.product_species.value}", *kernel_rates))
 
     # pair p's first and second emission are rows 2p and 2p + 1
     width = 2 if scenario.is_entangled else 1

@@ -127,6 +127,30 @@ def test_detect_no_photons_is_inconclusive(n0):
     assert detect(empty, n0, RS11, min_pairs=n0 + 1).reason.startswith("sample size")
 
 
+def test_detect_at_rates_whose_model_exponent_overflows():
+    # t * -gamma passes the float range once t > 1.8; its limit expm1(-inf)
+    # = -1 is exact, so detect raises no RuntimeWarning (an error here)
+    stream, curve = simulate(Scenario(n0=2000, rates=RS11, seed=1))
+    for source in (stream, erase_identities(stream)):
+        verdict = detect(source, 2000, RateSet(1e308, 1e308))
+        assert verdict.verdict is Verdict.ENTANGLED and verdict.statistic == 1.0
+    # the grid ends at t_max, before the last photons
+    assert detect(curve, 2000, RateSet(1e308, 1e308)).verdict is Verdict.ENTANGLED
+
+
+def test_sorting_an_erased_stream_copies_no_constant_column():
+    stream, _ = simulate(Scenario(n0=200, rates=RS11, seed=4))
+    perm = np.random.default_rng(2).permutation(len(stream))
+    pair_id, time, species, side, order = (getattr(stream, c)[perm] for c in COLUMNS)
+    blind = erase_identities(_stream(pair_id, time, species, side, order))
+    ordered = blind.sorted_by_time()
+    for c in ("pair_id", "order"):
+        column = getattr(ordered, c)
+        assert column.strides == (0,) and np.shares_memory(column, getattr(blind, c))
+    for c in ("time", "species", "side"):
+        assert np.array_equal(getattr(ordered, c), getattr(stream, c))
+
+
 def test_classify_is_order_invariant():
     stream, _ = simulate(Scenario(n0=200, rates=RateSet(1.5, 0.8, w_or=0.1), seed=31))
     grid = np.linspace(0.0, 6.0, 25)

@@ -4,7 +4,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -713,6 +716,45 @@ def test_oversized_n0_exits_3_before_allocating(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "DomainError"
+
+
+def test_rates_whose_draws_overflow_exit_3_before_drawing(tmp_path, capsys):
+    # once two numpy RuntimeWarnings and a DataError on event times
+    text = "n0 = 40\ngamma_or = 1e-308\ngamma_pa = 1e-308\nt_max = 1\nemit = montecarlo\n"
+    code, _ = _run(tmp_path, text)
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "DomainError" and record["message"].startswith("gamma_pa is too small")
+
+
+def _run_module(tmp_path, text):
+    """python -m decaylab on the config text, in a fresh interpreter that
+    inherits PYTHONPATH with this package's source directory in front."""
+    cfg = _write(tmp_path, text)
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    argv = [sys.executable, "-m", "decaylab", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_python_m_decaylab_runs_every_stage(tmp_path):
+    proc = _run_module(tmp_path, "n0 = 200\ngamma_or = 1.0\ngamma_pa = 0.5\nemit = " + ", ".join(STAGES))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "" and proc.stderr == ""
+    names = {"analytic.csv", "events.csv", "empirical.csv", "summary.json"}
+    assert {p.name for p in (tmp_path / "out").iterdir()} == names
+
+
+def test_python_m_decaylab_reports_a_bad_config(tmp_path):
+    proc = _run_module(tmp_path, "n0 = 0\ngamma_or = 1.0\ngamma_pa = 1.0\n")
+    assert proc.returncode == 3 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    message = "line 1: n0 must be a positive integer below 2**63, got 0"
+    assert json.loads(lines[0]) == {"error": "ConfigError", "message": message}
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_seed_override_exits_3(tmp_path):

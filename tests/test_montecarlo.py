@@ -1,6 +1,7 @@
 """Tests for the stochastic pair simulator and exact event histograms."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -46,6 +47,7 @@ from decaylab.montecarlo import (
     UNKNOWN_PAIR,
     _BLOCK,
     _DRAW_BYTES_PER_PAIR,
+    _LONGEST_DRAW,
     _PEAK_BYTES_PER_PAIR,
     _draw,
     _entangled_rates,
@@ -508,6 +510,54 @@ def test_stream_columns_are_read_only(column):
 def test_simulate_rejects_n0_beyond_physical_memory():
     with pytest.raises(DomainError, match="physical memory"):
         simulate(Scenario(n0=10**13, rates=RS11))
+
+
+@pytest.mark.parametrize(
+    "rates,name",
+    [
+        (RateSet(1e-308, 1e-308), "gamma_pa"),
+        (RateSet(1.0, 1e-308), "gamma_pa"),  # the survivor of a first or photon
+        (RateSet(1e-308, 1.0), "gamma_or"),
+        # each draw is finite, but the second emission time, their sum, is not
+        (RateSet(3e-307, 3e-307), "gamma_pa"),
+    ],
+)
+def test_simulate_refuses_rates_whose_draws_overflow(rates, name):
+    with pytest.raises(DomainError, match=f"^{name} is too small"):
+        simulate(Scenario(n0=40, rates=rates, t_max=1.0))
+    with pytest.raises(DomainError, match=f"^{name} is too small"):
+        sample_pair(0, rates, derive_rates(rates), pair_substream(0, 0))
+
+
+def test_simulate_draws_at_a_tiny_rate_that_no_pair_can_reach():
+    # W^or = -1 switches the first pa photon off, so no or atom survives to
+    # decay at gamma_or = 1e-308
+    rates = RateSet(1e-308, 1.0, w_or=-1.0, w_pa=1e154)
+    stream, _ = simulate(Scenario(n0=40, rates=rates, t_max=1.0))
+    assert np.all(stream.species[stream.order == FIRST_CODE] == OR_CODE)
+    assert np.isfinite(stream.time.max())
+
+
+def test_the_draw_overflow_refusal_is_exact():
+    # the smallest rate whose longest draw, at the largest uniform, is finite
+    gamma = _LONGEST_DRAW / np.finfo(float).max
+    while math.isinf(_LONGEST_DRAW / gamma):
+        gamma = float(np.nextafter(gamma, 1.0))
+    u = np.full((1, DRAWS_PER_PAIR), np.nextafter(1.0, 0.0))
+    out = np.empty((1, 1))
+    _draw(u, out, gamma)
+    assert np.isfinite(out[0, 0])
+    with np.errstate(over="ignore"):
+        _draw(u, out, float(np.nextafter(gamma, 0.0)))
+    assert math.isinf(out[0, 0])
+
+    def product(rate):
+        rates = RateSet(rate, 1.0)
+        return Scenario(n0=4, rates=rates, mode="product", product_species=Species.OR, t_max=1.0)
+
+    simulate(product(gamma))
+    with pytest.raises(DomainError, match="^gamma_or is too small"):
+        simulate(product(float(np.nextafter(gamma, 0.0))))
 
 
 PHYSICAL = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

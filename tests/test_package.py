@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import decaylab
@@ -19,6 +19,7 @@ from decaylab import (
     Scenario,
     Species,
     classify,
+    conservation_residual,
     derive_rates,
     erase_identities,
     simulate,
@@ -218,3 +219,50 @@ def test_public_calls_raise_only_package_errors(name, parameter, data):
                 result.fitted_rates  # the fit runs on this read
         except DecayLabError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# accepted rates at the ends of the float range
+
+# free rates log-uniform over 1e-308..1.7e308, amplitudes from a switched-off
+# channel (-1) and none (0) through moderate values to 1e200
+EXTREME_RATE = st.floats(-308.0, math.log10(1.7e308)).map(lambda e: 10.0**e)
+EXTREME_AMPLITUDE = st.one_of(
+    st.sampled_from([-1.0, 0.0]),
+    st.builds(lambda e, unit: unit * 10.0**e, st.floats(-3.0, 200.0), st.sampled_from([1, -1, 1j, -1j])),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    gammas=st.tuples(EXTREME_RATE, EXTREME_RATE),
+    amplitudes=st.tuples(EXTREME_AMPLITUDE, EXTREME_AMPLITUDE),
+    n0=st.integers(1, 50),
+    species=st.sampled_from([None, *Species]),
+)
+def test_accepted_extreme_rates_simulate_and_detect_or_refuse(gammas, amplitudes, n0, species):
+    try:
+        rates = RateSet(*gammas, *amplitudes)
+    except DecayLabError:
+        assume(False)
+    mode = {"mode": "product", "product_species": species} if species else {}
+    scenario = Scenario(n0=n0, rates=rates, t_max=1.0, **mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            stream, curve = simulate(scenario)
+        except DecayLabError:
+            pass
+        else:
+            # the stream passes its own checks again, and its pair checks
+            columns = ("pair_id", "time", "species", "side", "order")
+            decaylab.EventStream(*(getattr(stream, c) for c in columns))
+            if scenario.is_entangled:
+                classify(stream, scenario.grid(), n0)
+            assert conservation_residual(curve, scenario.is_entangled) == 0
+        try:
+            verdict = decaylab.detect(STREAM, SCENARIO.n0, rates)
+        except DecayLabError:
+            pass
+        else:
+            assert 0.0 <= verdict.statistic <= 1.0
