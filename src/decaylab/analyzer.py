@@ -47,7 +47,7 @@ from .errors import (
     InsufficientDataError,
     UnclassifiableError,
 )
-from .kinetics import PopulationCurve
+from .kinetics import PopulationCurve, _model
 from .montecarlo import (
     FIRST_CODE,
     PA_CODE,
@@ -475,13 +475,6 @@ def default_threshold(n0: float) -> float:
     return THRESHOLD_SAFETY * KS_COEFF / math.sqrt(_real(n0, "n0"))
 
 
-def _model(t: np.ndarray, gamma: float) -> np.ndarray:
-    # 1 - exp(-gamma t), by the same ufuncs on the same operands everywhere
-    m = np.multiply(t, -gamma)
-    np.expm1(m, out=m)
-    return np.negative(m, out=m)
-
-
 def _sup_distance(time, species, code, ends, prefix, n0: float, gamma: float) -> float:
     """sup over t of |count(<= t)/n0 - (1 - exp(-gamma t))|, counting the
     rows of a kept view's time column whose species is code.  ends and
@@ -546,6 +539,7 @@ def _segment_rows(a: np.ndarray, seg: np.ndarray) -> np.ndarray:
     return np.concatenate([rows, a[whole * _SEGMENT :]]) if short else rows
 
 
+@np.errstate(over="ignore")  # t * -gamma past the float range is -inf; expm1(-inf) = -1 is exact
 def product_model_distance(source, n0: float, h: Species, gamma: float) -> float:
     """Sup-norm distance of the species-h photon record from the one-species
     product model n0 (1 - exp(-gamma t)).
@@ -606,10 +600,7 @@ def detect(
 
     distances: dict[str, float] = {}
     for h in Species:
-        # a model exponent t * -gamma past the float range is -inf, whose
-        # expm1, -1, is exact
-        with np.errstate(over="ignore"):
-            shape = product_model_distance(source, n0, h, reference.gamma(h))
+        shape = product_model_distance(source, n0, h, reference.gamma(h))
         mass = _companion_mass(source, h.companion(), n0)
         distances[f"shape_{h.value}"] = shape
         distances[f"mass_{h.companion().value}"] = mass

@@ -117,7 +117,6 @@ class RunConfig:
     scenario: Scenario
     outdir: Path = Path("out")
     emit: frozenset[str] = frozenset(("analytic", "lifetimes"))
-    lifetime_tol: float | None = None
     detection_threshold: float | None = None
     detection_min_pairs: int = MIN_PAIRS_DEFAULT
 
@@ -141,10 +140,9 @@ class RunConfig:
                 raise ConfigError("emit includes reconstruction, which requires mode=entangled")
             pairs = _integer(self.detection_min_pairs, "detection_min_pairs", least=1)
             object.__setattr__(self, "detection_min_pairs", pairs)
-            for name in ("lifetime_tol", "detection_threshold"):
-                value = getattr(self, name)
-                if value is not None:
-                    object.__setattr__(self, name, _real(value, name))
+            if self.detection_threshold is not None:
+                threshold = _real(self.detection_threshold, "detection_threshold")
+                object.__setattr__(self, "detection_threshold", threshold)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -215,7 +213,6 @@ _KEYS = {
     "parallel": (_parse_bool, "a boolean", Scenario),
     "emit": (_parse_emit, "a comma-separated list of stages", RunConfig),
     "out": (Path, "a path", RunConfig),
-    "lifetime_tol": (float, "a number", RunConfig),
     "detection_threshold": (float, "a number", RunConfig),
     "detection_min_pairs": (_parse_int, "an integer", RunConfig),
 }
@@ -484,7 +481,7 @@ def _run_stages(config: RunConfig, quiet: bool) -> None:
         )
 
     if "lifetimes" in config.emit:
-        report = lifetime_report(rates, tol=config.lifetime_tol)
+        report = lifetime_report(rates)
         summary["lifetimes"] = _json(report)
         note(f"lifetimes: tau_tilde_state = {report.tau_tilde_state:.6g}")
 

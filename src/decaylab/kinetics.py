@@ -25,6 +25,14 @@ When gamma_t == gamma_h the spectral gap closes and n_h takes its confluent
 limit n0 gamma_t_H t exp(-gamma_t t); the branch switches when the relative
 gap drops below DEGENERATE_EPS.
 
+Every entangled curve is read from one unchecked evaluation, _fractions, of
+n/n0 and n_h/n0; callers scale by n0 last.  Its non-confluent survivor term is
+gamma_t_H * diff / |gamma_t - gamma_h|, a ratio of at most 1 / DEGENERATE_EPS
+times a difference of exponentials <= 1, so no product leaves the float
+range, and an exponent past it is -inf, whose exp, 0, is the exact limit.
+The public calls check their arguments once and read it; the lifetime
+solver reads it directly.
+
 A product (never entangled) preparation of the same atoms factorises: each
 atom decays independently, n_product(t) = n0 exp(-gamma_h t) per species and
 N_h = n0 (1 - exp(-gamma_h t)).  Per species these coincide with the
@@ -33,7 +41,8 @@ species (see the analyzer module).
 
 Species lifetimes: the 1/e time of the combined still-excited population
 n + n_h solves a transcendental two-exponential equation, handled here by
-bracketing bisection.
+bracketing bisection, which stops at _BISECT_RTOL of the fastest
+characteristic time.
 """
 
 from __future__ import annotations
@@ -66,13 +75,14 @@ __all__ = [
 # relative |gamma_t - gamma_h| below which the confluent branch is used
 DEGENERATE_EPS = 1e-8
 
-# bisection defaults: the bracket growth cap, relative to the slowest
-# characteristic time of the problem, and the interval tolerance, relative to
-# the fastest, near which the root can lie
+# bisection constants: the bracket growth cap, relative to the slowest
+# characteristic time of the problem, and the interval width at which it
+# stops, relative to the fastest, near which the root can lie
 _BRACKET_CAP = 1e3
 _BISECT_RTOL = 1e-12
 # the largest |survival(tau) - 1/e| that lifetime_report returns
 _RESIDUAL_BOUND = 1e-9
+_TARGET = math.exp(-1.0)
 
 
 def _maybe_scalar(values: np.ndarray, t) -> np.ndarray | float:
@@ -88,27 +98,39 @@ def n_entangled(t, n0: float, er: EntangledRates):
     return _maybe_scalar(n0 * np.exp(-_instance(er, EntangledRates, "er").gamma_t * tt), t)
 
 
+@np.errstate(over="ignore")  # an exponent past the float range is -inf
+def _fractions(tt, h: Species, rates: RateSet, er: EntangledRates) -> tuple:
+    """n/n0 and n_h/n0 at times tt, of arguments already checked.
+
+    With a <= b the two exponents, the difference of exponentials is
+    exp(-a t) * (-expm1(-(b-a)t)), which loses no precision to cancellation.
+    """
+    gamma_h = rates.gamma(h)
+    gamma_t = er.gamma_t
+    feed = er.species_rate(h.companion())
+    n = np.exp(-gamma_t * tt)
+    delta = gamma_t - gamma_h
+    if abs(delta) < DEGENERATE_EPS * gamma_t:
+        return n, feed * tt * n
+    a = min(gamma_h, gamma_t)
+    b = max(gamma_h, gamma_t)
+    diff = np.exp(-a * tt) * -np.expm1(-(b - a) * tt)
+    return n, feed * diff / abs(delta)
+
+
+def _checked(t, h: Species, rates: RateSet, er: EntangledRates) -> tuple:
+    """_fractions at times t, once t, rates and er pass their rules."""
+    return _fractions(_as_times(t), h, _instance(rates, RateSet, "rates"), _instance(er, EntangledRates, "er"))
+
+
 def n_single(t, h: Species, n0: float, rates: RateSet, er: EntangledRates):
     """Population of lone species-h survivors at time t.
 
     Fed by first emissions of the companion species at rate gamma_t_H and
-    drained by free decay at gamma_h.  Evaluated in a form that never
-    overflows and loses no precision to cancellation: with a <= b the two
-    exponents, the difference of exponentials is exp(-a t) * (-expm1(-(b-a)t)).
+    drained by free decay at gamma_h.
     """
     n0 = _real(n0, "n0")
-    tt = _as_times(t)
-    gamma_h = _instance(rates, RateSet, "rates").gamma(h)
-    gamma_t = _instance(er, EntangledRates, "er").gamma_t
-    feed = er.species_rate(h.companion())
-    delta = gamma_t - gamma_h
-    if abs(delta) < DEGENERATE_EPS * gamma_t:
-        out = n0 * feed * tt * np.exp(-gamma_t * tt)
-        return _maybe_scalar(out, t)
-    a = min(gamma_h, gamma_t)
-    b = max(gamma_h, gamma_t)
-    diff = np.exp(-a * tt) * -np.expm1(-(b - a) * tt)
-    return _maybe_scalar(n0 * feed * diff / abs(delta), t)
+    return _maybe_scalar(n0 * _checked(t, h, rates, er)[1], t)
 
 
 def photons_emitted(t, h: Species, n0: float, rates: RateSet, er: EntangledRates):
@@ -118,10 +140,11 @@ def photons_emitted(t, h: Species, n0: float, rates: RateSet, er: EntangledRates
     sub-resolution negative roundoff that subtraction can produce near t = 0.
     """
     n0 = _real(n0, "n0")
-    out = n0 - n_entangled(t, n0, er) - n_single(t, h, n0, rates, er)
-    return _maybe_scalar(np.maximum(out, 0.0), t)
+    n, n_h = _checked(t, h, rates, er)
+    return _maybe_scalar(np.maximum(n0 - n0 * n - n0 * n_h, 0.0), t)
 
 
+@np.errstate(over="ignore")  # an exponent past the float range is -inf
 def product_population(t, h: Species, n0: float, rates: RateSet):
     """Still-excited species-h atoms of a product preparation."""
     n0 = _real(n0, "n0")
@@ -129,11 +152,21 @@ def product_population(t, h: Species, n0: float, rates: RateSet):
     return _maybe_scalar(n0 * np.exp(-_instance(rates, RateSet, "rates").gamma(h) * tt), t)
 
 
+def _model(t, gamma: float):
+    """1 - exp(-gamma t), the product photon fraction, by the same ufuncs on
+    the same operands for every caller; a 0-d t gives a numpy scalar."""
+    m = np.multiply(t, -gamma)
+    if not m.ndim:
+        return -np.expm1(m)
+    np.expm1(m, out=m)
+    return np.negative(m, out=m)
+
+
 def product_photons(t, h: Species, n0: float, rates: RateSet):
     """Cumulative species-h photons of a product preparation."""
     n0 = _real(n0, "n0")
     tt = _as_times(t)
-    return _maybe_scalar(n0 * -np.expm1(-_instance(rates, RateSet, "rates").gamma(h) * tt), t)
+    return _maybe_scalar(n0 * _model(tt, _instance(rates, RateSet, "rates").gamma(h)), t)
 
 
 @dataclass(frozen=True)
@@ -186,8 +219,9 @@ def evaluate_curve(scenario, grid=None) -> PopulationCurve:
     rates = scenario.rates
     if scenario.is_entangled:
         er = derive_rates(rates)
-        n = n_entangled(grid, n0, er)
-        survivors = [n_single(grid, h, n0, rates, er) for h in Species]
+        fractions = [_fractions(grid, h, rates, er) for h in Species]
+        n = n0 * fractions[0][0]  # n/n0 is the same for either species
+        survivors = [n0 * n_h for _, n_h in fractions]
         photons = [np.maximum(n0 - n - n_h, 0.0) for n_h in survivors]
         return PopulationCurve(grid, n, *survivors, *photons, n0)
     h = scenario.product_species
@@ -215,50 +249,48 @@ def conservation_residual(curve: PopulationCurve, entangled: bool = True) -> flo
 
 def species_survival_fraction(t, h: Species, rates: RateSet, er: EntangledRates):
     """Fraction of species-h atoms still excited: (n(t) + n_h(t)) / n0."""
-    return n_entangled(t, 1.0, er) + n_single(t, h, 1.0, rates, er)
+    n, n_h = _checked(t, h, rates, er)
+    return _maybe_scalar(n + n_h, t)
 
 
-def lifetime_species(
-    h: Species,
-    rates: RateSet,
-    er: EntangledRates | None = None,
-    tol: float | None = None,
-) -> float:
+def _excess(tau: float, h: Species, rates: RateSet, er: EntangledRates) -> float:
+    """survival(tau) - 1/e, of arguments already checked."""
+    n, n_h = _fractions(tau, h, rates, er)
+    return float(n + n_h) - _TARGET
+
+
+def lifetime_species(h: Species, rates: RateSet, er: EntangledRates | None = None) -> float:
     """1/e lifetime of the species-h excited population under entanglement.
 
     Solves (n(tau) + n_h(tau)) / n0 = 1/e by doubling an upper bracket and
     bisecting.  The bracket is capped at 1e3 times the slowest characteristic
-    time; survival still above 1/e there signals pathological rates and
-    raises SolverError.  tol, the width at which bisection stops, defaults
-    to 1e-12 of the fastest characteristic time, min(1/gamma_h, 1/gamma_t),
-    and must be finite and > 0.
+    time and at half the largest float; survival still above 1/e there
+    signals pathological rates and raises SolverError, which names the rates.
+    Bisection stops at a width of 1e-12 of the fastest characteristic time,
+    min(1/gamma_h, 1/gamma_t), or at two adjacent floats.
     """
     er = derive_rates(rates) if er is None else _instance(er, EntangledRates, "er")
     gamma_h = _instance(rates, RateSet, "rates").gamma(h)
     if er.gamma_t <= 0.0:
         raise DomainError("gamma_t must be positive for a finite lifetime")
     scale = max(1.0 / gamma_h, 1.0 / er.gamma_t)
-    fast = min(1.0 / gamma_h, 1.0 / er.gamma_t)
-    tol = _BISECT_RTOL * fast if tol is None else _real(tol, "tol")
-    target = math.exp(-1.0)
-
-    def excess(tau: float) -> float:
-        return float(species_survival_fraction(tau, h, rates, er)) - target
-
+    tol = _BISECT_RTOL * min(1.0 / gamma_h, 1.0 / er.gamma_t)
+    # past half the largest float a bracket (or the midpoint of one) is inf,
+    # where the confluent form is inf * 0
+    cap = min(_BRACKET_CAP * scale, 0.5 * np.finfo(float).max)
     lo, hi = 0.0, scale
-    cap = _BRACKET_CAP * scale
-    while excess(hi) > 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > cap:
-            raise SolverError(
-                f"survival of {h.value} never reaches 1/e below t = {cap:g}"
-            )
+    while hi <= cap and _excess(hi, h, rates, er) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    if not hi <= cap:
+        raise SolverError(
+            f"survival of {h.value} never reaches 1/e below t = {cap:g} "
+            f"(gamma_{h.value} = {gamma_h:g}, gamma_t = {er.gamma_t:g})"
+        )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if excess(mid) > 0.0:
+        if _excess(mid, h, rates, er) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -281,18 +313,15 @@ class LifetimeReport:
     solver_residual: float
 
 
-def lifetime_report(rates: RateSet, tol: float | None = None) -> LifetimeReport:
+def lifetime_report(rates: RateSet) -> LifetimeReport:
     """Collect every lifetime of a preparation in one report.
 
     Raises SolverError when a root's residual |survival(tau) - 1/e| exceeds
-    1e-9, as a tol too coarse for the rates would leave it.
+    1e-9.
     """
     er = derive_rates(rates)
-    taus = [lifetime_species(h, rates, er, tol) for h in Species]
-    target = math.exp(-1.0)
-    residual = max(
-        abs(float(species_survival_fraction(tau, h, rates, er)) - target) for h, tau in zip(Species, taus)
-    )
+    taus = [lifetime_species(h, rates, er) for h in Species]
+    residual = max(abs(_excess(tau, h, rates, er)) for h, tau in zip(Species, taus))
     if not residual <= _RESIDUAL_BOUND:
         raise SolverError(f"lifetime solver residual {residual:g} exceeds {_RESIDUAL_BOUND:g}")
     # the fields in order: free, entangled-state, per-species entangled

@@ -136,6 +136,8 @@ def test_detect_at_rates_whose_model_exponent_overflows():
         assert verdict.verdict is Verdict.ENTANGLED and verdict.statistic == 1.0
     # the grid ends at t_max, before the last photons
     assert detect(curve, 2000, RateSet(1e308, 1e308)).verdict is Verdict.ENTANGLED
+    # product_model_distance takes the same guard when called directly
+    assert product_model_distance(stream, 2000, Species.OR, 1e308) == 1.0
 
 
 def test_sorting_an_erased_stream_copies_no_constant_column():

@@ -127,6 +127,7 @@ def test_parse_product_mode():
     [
         ("n0 = 10\ngamma_or = 1\n", "gamma_pa"),
         (MINIMAL + "flavour = up\n", "line 4"),
+        (MINIMAL + "lifetime_tol = 1e-12\n", "line 4: unknown key 'lifetime_tol'"),
         (MINIMAL + "gamma_or = -1\n", "must be > 0"),
         ("n0 = 0\ngamma_or = 1\ngamma_pa = 1\n", "n0"),
         (MINIMAL + "mode = mixed\n", "mode"),
@@ -161,7 +162,7 @@ def test_parse_errors_carry_context(text, fragment):
         "seed = 18446744073709551616",
         "emit = plots",
         "emit = reconstruction",
-        "lifetime_tol = 0",
+        "detection_threshold = 0",
         "detection_threshold = nan",
         "detection_min_pairs = 0",
         "n0 = 9223372036854775808",
@@ -180,7 +181,7 @@ def test_range_errors_name_the_line_of_their_key(line):
 @pytest.mark.parametrize(
     "field,value",
     [
-        ("lifetime_tol", "x"),
+        ("detection_threshold", "x"),
         ("detection_min_pairs", "3"),
         ("detection_threshold", True),
         ("detection_min_pairs", 2.5),
@@ -193,8 +194,8 @@ def test_run_config_values_of_the_wrong_type_are_config_errors(field, value):
     with pytest.raises(ConfigError) as err:
         RunConfig(scenario, **{field: value})
     assert str(err.value).startswith(f"{field} ")
-    config = RunConfig(scenario, lifetime_tol=1, detection_min_pairs=np.int64(3))
-    assert type(config.lifetime_tol) is float and type(config.detection_min_pairs) is int
+    config = RunConfig(scenario, detection_threshold=1, detection_min_pairs=np.int64(3))
+    assert type(config.detection_threshold) is float and type(config.detection_min_pairs) is int
 
 
 @pytest.mark.parametrize(

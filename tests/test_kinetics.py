@@ -328,8 +328,16 @@ def test_species_lifetime_shifts_under_modification():
     tau = lifetime_species(Species.PA, rs, er)
     assert tau == pytest.approx(0.799170726, abs=1e-6)
     assert abs(tau - 1.0) > 1e-3
-    # a tol below the float spacing ends the bisection at adjacent floats
-    assert lifetime_species(Species.PA, rs, er, tol=1e-300) == pytest.approx(tau, rel=1e-11)
+
+
+def test_a_root_wider_than_its_float_spacing_ends_at_adjacent_floats():
+    # the width 1e-12 x the fast time 1/gamma_t is below the spacing of floats
+    # near the slow root 1e6, so bisection ends at two adjacent floats
+    rs = RateSet(1.0, 1e-6)
+    tau = lifetime_species(Species.PA, rs)
+    assert kinetics._BISECT_RTOL / derive_rates(rs).gamma_t < np.spacing(tau)
+    assert tau == pytest.approx(1e6, rel=1e-12)
+    assert lifetime_report(rs).solver_residual <= 1e-12
 
 
 def test_lifetime_requires_decay():
@@ -360,11 +368,14 @@ def test_lifetime_root_near_the_fast_scale():
     assert report.solver_residual <= 1e-9
 
 
-def test_lifetime_residual_above_the_bound_raises():
-    # a tol as wide as the root leaves a residual that the report refuses
+def test_lifetime_residual_above_the_bound_raises(monkeypatch):
+    # a stopping width as wide as the root leaves a residual that the report
+    # refuses
     rs = RateSet(1.0, 0.5, w_or=0.2)
+    assert lifetime_report(rs).solver_residual <= 1e-9
+    monkeypatch.setattr(kinetics, "_BISECT_RTOL", 1.0)
     with pytest.raises(SolverError, match="residual"):
-        lifetime_report(rs, tol=1.0)
+        lifetime_report(rs)
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import decaylab
@@ -22,6 +22,8 @@ from decaylab import (
     conservation_residual,
     derive_rates,
     erase_identities,
+    evaluate_curve,
+    lifetime_report,
     simulate,
 )
 
@@ -139,7 +141,6 @@ VALID = {
     "rng": (np.random.Generator(np.random.Philox(1)),),
     "min_pairs": (0, 5),
     "threshold": (None, 0.1),
-    "tol": (None, 1e-9),
     "t_max": (None, 10.0),
     "grid_points": (2, 6),
     "gamma": RATE,
@@ -266,3 +267,45 @@ def test_accepted_extreme_rates_simulate_and_detect_or_refuse(gammas, amplitudes
             pass
         else:
             assert 0.0 <= verdict.statistic <= 1.0
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    gammas=st.tuples(EXTREME_RATE, EXTREME_RATE),
+    amplitudes=st.tuples(EXTREME_AMPLITUDE, EXTREME_AMPLITUDE),
+    n0=st.integers(1, 2**62),
+    species=st.sampled_from([None, *Species]),
+)
+# n0 * gamma_t_H once overflowed in n_single: the first two warned "invalid
+# value" and were refused as "n_pa (n_or) must be finite"; the third warned
+# "overflow" while the lifetime bracket grew
+@example(gammas=(1e306, 1.0), amplitudes=(0.0, 0.0), n0=2000, species=None)
+@example(gammas=(1e303, 1e303), amplitudes=(0.0, 0.0), n0=10**6, species=None)
+@example(gammas=(1e300, 1e-300), amplitudes=(0.0, 0.0), n0=1, species=None)
+# the lifetime bracket once doubled to inf, and the midpoint of one past half
+# the largest float overflowed, where the confluent form is inf * 0
+@example(gammas=(1e-308, 1e-308), amplitudes=(0.0, -1.0), n0=1, species=None)
+@example(gammas=(2.268649942633871e-308,) * 2, amplitudes=(0.0, -1.0), n0=1, species=None)
+def test_accepted_extreme_rates_give_checked_curves_and_lifetimes_or_refuse(gammas, amplitudes, n0, species):
+    try:
+        rates = RateSet(*gammas, *amplitudes)
+    except DecayLabError:
+        assume(False)
+    mode = {"mode": "product", "product_species": species} if species else {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t_max in (1.0, None):
+            try:
+                scenario = Scenario(n0=n0, rates=rates, t_max=t_max, **mode)
+                curve = evaluate_curve(scenario)
+            except DecayLabError:
+                continue
+            # a rounding-level bound: seven terms of at most 2 n0 and their sum
+            residual = conservation_residual(curve, scenario.is_entangled)
+            assert residual <= 8 * np.spacing(2.0 * n0)
+        try:
+            report = lifetime_report(rates)
+        except DecayLabError:
+            pass
+        else:
+            assert report.solver_residual <= 1e-9

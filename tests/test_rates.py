@@ -18,7 +18,6 @@ from decaylab import (
     entangled_rate,
     evaluate_curve,
     lambda_unweighted,
-    lifetime_report,
     product_model_distance,
     relative_modification,
 )
@@ -168,9 +167,8 @@ def _curve():
     return evaluate_curve(Scenario(n0=300, rates=RateSet(1.0, 1.0)))
 
 
-# one rule, finite and > 0, for every rate, horizon, threshold and tolerance;
-# each of these once raised a raw ValueError or TypeError, or (tol) returned
-# lifetimes of 0.5 instead of 1.0
+# one rule, finite and > 0, for every rate, horizon and threshold; each of
+# these once raised a raw ValueError or TypeError
 @pytest.mark.parametrize(
     "call",
     [
@@ -179,12 +177,11 @@ def _curve():
         lambda: Scenario(n0=10, rates=RateSet(1.0, 1.0), t_max="x"),
         lambda: detect(_curve(), 300, RateSet(1.0, 1.0), threshold="x"),
         lambda: product_model_distance(_curve(), 300, Species.OR, "x"),
-        lambda: lifetime_report(RateSet(1.0, 1.0), tol=math.nan),
-        lambda: lifetime_report(RateSet(1.0, 1.0), tol=math.inf),
-        lambda: lifetime_report(RateSet(1.0, 1.0), tol=0.0),
-        lambda: lifetime_report(RateSet(1.0, 1.0), tol="x"),
+        lambda: detect(_curve(), 300, RateSet(1.0, 1.0), threshold=math.nan),
+        lambda: detect(_curve(), 300, RateSet(1.0, 1.0), threshold=math.inf),
+        lambda: detect(_curve(), 300, RateSet(1.0, 1.0), threshold=0.0),
     ],
-    ids=["rate", "rate-none", "t_max", "threshold", "gamma", "tol-nan", "tol-inf", "tol-0", "tol"],
+    ids=["rate", "rate-none", "t_max", "threshold", "gamma", "threshold-nan", "threshold-inf", "threshold-0"],
 )
 def test_finite_positive_rule_raises_domain_errors(call):
     with pytest.raises(DomainError):
